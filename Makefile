@@ -28,15 +28,20 @@ check-reltypes:
 # check is the pre-merge gate: formatting, schema exhaustiveness,
 # compile everything, vet, and run the full test suite under the race
 # detector (the parallel pipeline's determinism and safety contract).
+# perfbench is a separate module that root `go build ./...` never
+# compiles, so it is vetted on its own: an API change it depends on
+# fails here, not in the benchmark run.
 check: fmt check-reltypes
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+	cd perfbench && $(GO) vet ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-path compares the two search engines (compiled index vs generic
-# store) and gates the index engine's steady-state allocation ceiling
-# (TestSteadyStateAllocs fails the build if allocs/op regresses).
+# bench-path compares the compiled-index search engine against the
+# generic-store test oracle on synthetic and real graphs, and gates the
+# index engine's steady-state allocation ceiling (TestSteadyStateAllocs
+# fails the build if allocs/op regresses).
 bench-path:
 	$(GO) test ./internal/pathfinder -run TestSteadyStateAllocs -bench 'BenchmarkFind(Indexed|Generic)' -benchmem -v
 

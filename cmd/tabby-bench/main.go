@@ -13,8 +13,6 @@
 //	                              corpus at workers=1, with the speedup
 //	                              vs the recorded pre-fast-path seed
 //	                              (writes BENCH_build.json)
-//	tabby-bench -table pathfinder generic-store vs compiled-index search
-//	                              engines (writes BENCH_pathfinder.json)
 //	tabby-bench -table incremental cold vs warm vs one-class-changed
 //	                              cache scenarios over the Spring scene
 //	                              (writes BENCH_incremental.json)
@@ -41,25 +39,20 @@ import (
 	"runtime"
 
 	"tabby/internal/bench"
-	"tabby/internal/cliutil"
 	"tabby/internal/parallel"
 	"tabby/internal/profiling"
 )
 
 func main() {
 	var (
-		table   = flag.String("table", "all", "which table to regenerate: 8, 9, 10, 11, rq4, all")
-		scale   = flag.Float64("scale", 1.0, "Table VIII corpus scale factor (1.0 = paper-size)")
-		runs    = flag.Int("runs", 3, "Table VIII repetitions per row (min/max trimmed when >2)")
-		workers = flag.Int("workers", 0, "pipeline worker count (0 = GOMAXPROCS, 1 = sequential)")
-		// Deprecated: the SCC wave scheduler removed the call-depth bound;
-		// the flag is kept so old invocations keep working, with a warning.
-		maxCallDepth = flag.Int("max-call-depth", 0, "deprecated, no effect: the SCC scheduler removed the call-depth bound")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		table      = flag.String("table", "all", "which table to regenerate: 8, 9, 10, 11, rq4, all")
+		scale      = flag.Float64("scale", 1.0, "Table VIII corpus scale factor (1.0 = paper-size)")
+		runs       = flag.Int("runs", 3, "Table VIII repetitions per row (min/max trimmed when >2)")
+		workers    = flag.Int("workers", 0, "pipeline worker count (0 = GOMAXPROCS, 1 = sequential)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-	cliutil.WarnMaxCallDepth(os.Stderr, "tabby-bench", *maxCallDepth)
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tabby-bench:", err)
@@ -75,9 +68,9 @@ func main() {
 
 func run(table string, scale float64, runs, workers int) error {
 	switch table {
-	case "8", "9", "10", "11", "rq4", "ablation", "parallel", "build", "pathfinder", "incremental", "query", "snapshot", "serve", "all":
+	case "8", "9", "10", "11", "rq4", "ablation", "parallel", "build", "incremental", "query", "snapshot", "serve", "all":
 	default:
-		return fmt.Errorf("unknown table %q (want 8, 9, 10, 11, rq4, ablation, parallel, build, pathfinder, incremental, query, snapshot, serve or all)", table)
+		return fmt.Errorf("unknown table %q (want 8, 9, 10, 11, rq4, ablation, parallel, build, incremental, query, snapshot, serve or all)", table)
 	}
 	fmt.Printf("tabby-bench: workers=%d (resolved %d), GOMAXPROCS=%d\n",
 		workers, parallel.Resolve(workers), runtime.GOMAXPROCS(0))
@@ -231,23 +224,6 @@ func run(table string, scale float64, runs, workers int) error {
 			return err
 		}
 		fmt.Println("written to BENCH_serve.json")
-	}
-	if want("pathfinder") {
-		fmt.Println("=== Path search: generic store vs compiled index ===")
-		r, err := bench.RunPathfinder(runs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_pathfinder.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_pathfinder.json")
 	}
 	return nil
 }

@@ -8,8 +8,7 @@
 // -snapshot loads the versioned binary snapshot format `tabby -save`
 // writes (graph + sink/source registry + analysis metadata; see
 // internal/store); the graph is served read-only, so queries return
-// exactly what they would have on the freshly built graph. -graph loads
-// the legacy newline-delimited-JSON graph dump.
+// exactly what they would have on the freshly built graph.
 //
 // Example queries:
 //
@@ -42,19 +41,18 @@ import (
 
 func main() {
 	var (
-		graphPath    = flag.String("graph", "", "legacy JSON graph dump to load")
 		snapshotPath = flag.String("snapshot", "", "snapshot file written by `tabby -save`")
 		query        = flag.String("query", "", "one-shot query; omit for a REPL")
 	)
 	flag.Parse()
-	if err := run(*graphPath, *snapshotPath, *query); err != nil {
+	if err := run(*snapshotPath, *query); err != nil {
 		fmt.Fprintln(os.Stderr, "tabby-query:", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, snapshotPath, query string) error {
-	db, err := loadGraph(graphPath, snapshotPath)
+func run(snapshotPath, query string) error {
+	db, err := loadSnapshot(snapshotPath)
 	if err != nil {
 		return err
 	}
@@ -67,32 +65,20 @@ func run(graphPath, snapshotPath, query string) error {
 	return repl(db)
 }
 
-// loadGraph opens whichever persisted form was requested: the versioned
-// binary snapshot (preferred) or the legacy JSON dump.
-func loadGraph(graphPath, snapshotPath string) (*graphdb.DB, error) {
-	switch {
-	case graphPath != "" && snapshotPath != "":
-		return nil, fmt.Errorf("pass either -snapshot or -graph, not both")
-	case snapshotPath != "":
-		snap, err := store.ReadFile(snapshotPath)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Meta.Name != "" {
-			fmt.Fprintf(os.Stderr, "snapshot %q (%s): %d sinks registered\n",
-				snap.Meta.Name, snap.Meta.Corpus, snap.Sinks.Len())
-		}
-		return snap.DB, nil
-	case graphPath != "":
-		f, err := os.Open(graphPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graphdb.Load(f)
-	default:
+// loadSnapshot opens the versioned binary snapshot at path.
+func loadSnapshot(path string) (*graphdb.DB, error) {
+	if path == "" {
 		return nil, fmt.Errorf("missing -snapshot (write one with `tabby -save cpg.tsnap`)")
 	}
+	snap, err := store.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Meta.Name != "" {
+		fmt.Fprintf(os.Stderr, "snapshot %q (%s): %d sinks registered\n",
+			snap.Meta.Name, snap.Meta.Corpus, snap.Sinks.Len())
+	}
+	return snap.DB, nil
 }
 
 func execute(db *graphdb.DB, query string) error {

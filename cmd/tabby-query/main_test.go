@@ -20,21 +20,6 @@ func buildReport(t *testing.T) (*core.Engine, *core.Report) {
 	return engine, rep
 }
 
-func buildGraphFile(t *testing.T) string {
-	t.Helper()
-	_, rep := buildReport(t)
-	path := filepath.Join(t.TempDir(), "cpg.tgraph")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := rep.Graph.DB.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func buildSnapshotFile(t *testing.T) string {
 	t.Helper()
 	engine, rep := buildReport(t)
@@ -50,20 +35,6 @@ func buildSnapshotFile(t *testing.T) string {
 	return path
 }
 
-func TestRunOneShotQueryLegacyGraph(t *testing.T) {
-	path := buildGraphFile(t)
-	queries := []string{
-		`MATCH (m:Method {IS_SINK: true}) RETURN m.NAME LIMIT 3`,
-		`CALL tabby.findGadgetChains(12)`,
-		`CALL tabby.sources()`,
-	}
-	for _, q := range queries {
-		if err := run(path, "", q); err != nil {
-			t.Errorf("run(%q): %v", q, err)
-		}
-	}
-}
-
 func TestRunOneShotQuerySnapshot(t *testing.T) {
 	path := buildSnapshotFile(t)
 	queries := []string{
@@ -72,33 +43,30 @@ func TestRunOneShotQuerySnapshot(t *testing.T) {
 		`CALL tabby.sinks()`,
 	}
 	for _, q := range queries {
-		if err := run("", path, q); err != nil {
+		if err := run(path, q); err != nil {
 			t.Errorf("run(%q): %v", q, err)
 		}
 	}
 }
 
 func TestRunValidatesInput(t *testing.T) {
-	if err := run("", "", "MATCH (m) RETURN m"); err == nil {
-		t.Error("missing graph path must error")
+	if err := run("", "MATCH (m) RETURN m"); err == nil {
+		t.Error("missing snapshot path must error")
 	}
-	if err := run("/nonexistent/graph.tgraph", "", "MATCH (m) RETURN m"); err == nil {
-		t.Error("missing legacy file must error")
-	}
-	if err := run("", "/nonexistent/cpg.tsnap", "MATCH (m) RETURN m"); err == nil {
+	if err := run("/nonexistent/cpg.tsnap", "MATCH (m) RETURN m"); err == nil {
 		t.Error("missing snapshot file must error")
 	}
-	if err := run("a.tgraph", "b.tsnap", "MATCH (m) RETURN m"); err == nil {
-		t.Error("both -graph and -snapshot must error")
+	// A file that is not a snapshot must fail with a format error, not a
+	// panic.
+	garbage := filepath.Join(t.TempDir(), "garbage.tsnap")
+	if err := os.WriteFile(garbage, []byte("{\"format\":\"tabby-graph\",\"version\":1}\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// A legacy dump is not a snapshot: loading it as one must fail with a
-	// format error, not a panic.
-	legacy := buildGraphFile(t)
-	if err := run("", legacy, "MATCH (m) RETURN m"); err == nil {
-		t.Error("legacy dump passed as -snapshot must error")
+	if err := run(garbage, "MATCH (m) RETURN m"); err == nil {
+		t.Error("non-snapshot file passed as -snapshot must error")
 	}
 	path := buildSnapshotFile(t)
-	if err := run("", path, "NOT A QUERY"); err == nil {
+	if err := run(path, "NOT A QUERY"); err == nil {
 		t.Error("bad query must error")
 	}
 }

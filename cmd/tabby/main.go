@@ -24,10 +24,6 @@
 //	-max-depth N    Evaluator depth bound (default 12)
 //	-confirm        concretely execute each chain (payload construction +
 //	                jimple interpretation — the paper's §V-C future work)
-//
-// The -max-call-depth flag is deprecated and has no effect: the SCC wave
-// scheduler of the controllability analysis replaced the depth-capped
-// recursion it used to bound. Passing it prints a warning.
 package main
 
 import (
@@ -39,7 +35,6 @@ import (
 	"sort"
 	"strings"
 
-	"tabby/internal/cliutil"
 	"tabby/internal/core"
 	"tabby/internal/corpus"
 	"tabby/internal/cpg"
@@ -53,28 +48,26 @@ import (
 
 func main() {
 	var (
-		dir          = flag.String("dir", "", "directory of .java files to analyze (recursive)")
-		component    = flag.String("component", "", "bundled Table IX component name")
-		scene        = flag.String("scene", "", "bundled Table X scene name")
-		urldns       = flag.Bool("urldns", false, "run the built-in URLDNS demonstration")
-		list         = flag.Bool("list", false, "list bundled components and scenes")
-		withRT       = flag.Bool("rt", true, "include the modeled Java runtime (rt.jar)")
-		stats        = flag.Bool("stats", false, "print CPG statistics")
-		chains       = flag.Bool("chains", true, "print discovered gadget chains")
-		save         = flag.String("save", "", "persist a snapshot of the built graph to this file")
-		cacheDir     = flag.String("cache-dir", "", "directory for the persistent method-summary cache; reruns reuse summaries whose dependency cone is unchanged")
-		maxDepth     = flag.Int("max-depth", 0, "maximum chain length (0 = default 12)")
-		maxCallDepth = flag.Int("max-call-depth", 0, "deprecated, no effect: the SCC scheduler removed the call-depth bound")
-		mechanism    = flag.String("mechanism", "native", "deserialization mechanism: native or xstream")
-		serDispatch  = flag.Bool("serialization-dispatch", false, "synthesize DISPATCH edges from a virtual deserialization driver to every hierarchy-derived JVM callback and accept those targets as chain entry points")
-		confirm      = flag.Bool("confirm", false, "concretely execute each chain to confirm it fires (§V-C extension)")
-		dot          = flag.String("dot", "", "write a Graphviz DOT rendering of the CPG (filtered to chain classes) to this file")
-		workers      = flag.Int("workers", 0, "worker count for every pipeline stage (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		dir         = flag.String("dir", "", "directory of .java files to analyze (recursive)")
+		component   = flag.String("component", "", "bundled Table IX component name")
+		scene       = flag.String("scene", "", "bundled Table X scene name")
+		urldns      = flag.Bool("urldns", false, "run the built-in URLDNS demonstration")
+		list        = flag.Bool("list", false, "list bundled components and scenes")
+		withRT      = flag.Bool("rt", true, "include the modeled Java runtime (rt.jar)")
+		stats       = flag.Bool("stats", false, "print CPG statistics")
+		chains      = flag.Bool("chains", true, "print discovered gadget chains")
+		save        = flag.String("save", "", "persist a snapshot of the built graph to this file")
+		cacheDir    = flag.String("cache-dir", "", "directory for the persistent method-summary cache; reruns reuse summaries whose dependency cone is unchanged")
+		maxDepth    = flag.Int("max-depth", 0, "maximum chain length (0 = default 12)")
+		mechanism   = flag.String("mechanism", "native", "deserialization mechanism: native or xstream")
+		serDispatch = flag.Bool("serialization-dispatch", false, "synthesize DISPATCH edges from a virtual deserialization driver to every hierarchy-derived JVM callback and accept those targets as chain entry points")
+		confirm     = flag.Bool("confirm", false, "concretely execute each chain to confirm it fires (§V-C extension)")
+		dot         = flag.String("dot", "", "write a Graphviz DOT rendering of the CPG (filtered to chain classes) to this file")
+		workers     = flag.Int("workers", 0, "worker count for every pipeline stage (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
+		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
-	cliutil.WarnMaxCallDepth(os.Stderr, "tabby", *maxCallDepth)
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tabby:", err)

@@ -5,14 +5,13 @@
 // the bytes live. Two implementations exist:
 //
 //   - Mem: a fully-deserialized heap snapshot (store.ReadFile). This is
-//     the only option for pre-v3 snapshot files and the fallback on
-//     hosts that cannot view the on-disk index layout.
-//   - Mmap: a disk-resident view over a memory-mapped version-3
-//     snapshot. Opening validates framing and checksums but copies
-//     nothing; the search index is served directly from the mapped
-//     bytes, so open latency and heap cost are O(labels + relationship
-//     types), not O(graph), and the resident set is bounded by the page
-//     cache. The generic store is materialized lazily — only when a
+//     the fallback on hosts that cannot view the on-disk index layout
+//     or cannot mmap.
+//   - Mmap: a disk-resident view over a memory-mapped snapshot.
+//     Opening validates framing and checksums but copies nothing; the
+//     search index is served directly from the mapped bytes, so open
+//     latency and heap cost are O(labels + relationship types), not
+//     O(graph), and the resident set is bounded by the page cache. The generic store is materialized lazily — only when a
 //     query shape the index cannot answer actually runs.
 //
 // Backend satisfies cypher.Source structurally, so /v1/query executes
@@ -86,12 +85,12 @@ func (b *Mem) Close() error              { return nil }
 // callers that know they hold the heap implementation.
 func (b *Mem) Snapshot() *store.Snapshot { return b.snap }
 
-// Open opens a snapshot file as the cheapest backend the file and host
-// support: a zero-copy Mmap view for version-3 snapshots on hosts with
-// a compatible layout, a full heap parse otherwise. Corrupt files error
-// on either path — the mmap open checksums everything it will serve
-// and structurally validates the index layout, so a backend that opens
-// never serves garbage.
+// Open opens a snapshot file as the cheapest backend the host
+// supports: a zero-copy Mmap view on hosts with a compatible layout, a
+// full heap parse otherwise. Corrupt files, and any format version
+// other than store.FormatVersion, error on either path — the mmap open
+// checksums everything it will serve and structurally validates the
+// index layout, so a backend that opens never serves garbage.
 func Open(path string) (Backend, error) {
 	if searchindex.LayoutSupported() {
 		if be, err, ok := openMapped(path); ok {

@@ -1,9 +1,13 @@
 package backend
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"tabby/internal/graphdb"
@@ -23,6 +27,16 @@ func testSnapshot(t *testing.T) *store.Snapshot {
 	return &store.Snapshot{Meta: store.Meta{Name: "unit", Corpus: "hand-built"}, DB: db}
 }
 
+// writeFile writes data to a fresh temp file named name.
+func writeFile(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func writeSnapshotFile(t *testing.T, snap *store.Snapshot) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "unit.tsnap")
@@ -30,41 +44,6 @@ func writeSnapshotFile(t *testing.T, snap *store.Snapshot) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// stripIndexSection rewrites a current-format snapshot file as a
-// version-2 one: same section framing (4-byte tag, u32 length, payload,
-// u32 CRC) minus the trailing "csr3" section, version field rewritten.
-// This synthesizes what a pre-v3 build wrote.
-func stripIndexSection(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const magicLen = 8 // "TABBYSNP"
-	out := append([]byte(nil), data[:magicLen+2]...)
-	binary.LittleEndian.PutUint16(out[magicLen:], 2)
-	rest := data[magicLen+2:]
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			t.Fatalf("trailing %d bytes are not a section frame", len(rest))
-		}
-		tag := string(rest[:4])
-		end := 8 + int(binary.LittleEndian.Uint32(rest[4:8])) + 4
-		if len(rest) < end {
-			t.Fatalf("section %q overruns the file", tag)
-		}
-		if tag != "csr3" {
-			out = append(out, rest[:end]...)
-		}
-		rest = rest[end:]
-	}
-	v2 := filepath.Join(t.TempDir(), "v2.tsnap")
-	if err := os.WriteFile(v2, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return v2
 }
 
 // csr3PayloadOffset walks the section frames and returns the file
@@ -153,25 +132,54 @@ func TestOpenPrefersMmap(t *testing.T) {
 	}
 }
 
-// TestOpenFallsBackToHeapForPreV3: an older snapshot has nothing to
-// serve zero-copy; Open silently parses it onto the heap.
-func TestOpenFallsBackToHeapForPreV3(t *testing.T) {
-	path := stripIndexSection(t, writeSnapshotFile(t, testSnapshot(t)))
-	be, err := Open(path)
+// withVersion rewrites a current-format snapshot's header to version,
+// dropping the sections in drop — the layouts older and newer builds
+// wrote (v1 lacked "sumc" and "csr3", v2 lacked "csr3").
+func withVersion(t *testing.T, data []byte, version uint16, drop ...string) []byte {
+	t.Helper()
+	const hdrLen = 8 + 2 // "TABBYSNP" + uint16 version
+	out := append([]byte(nil), data[:hdrLen]...)
+	binary.LittleEndian.PutUint16(out[8:], version)
+	for rest := data[hdrLen:]; len(rest) > 0; {
+		end := 8 + int(binary.LittleEndian.Uint32(rest[4:8])) + 4 // frame + payload + CRC
+		if !slices.Contains(drop, string(rest[:4])) {
+			out = append(out, rest[:end]...)
+		}
+		rest = rest[end:]
+	}
+	return out
+}
+
+// TestOnlyFormatV3Opens: snapshots are version 3 only. Every other
+// header version — the v1 and v2 layouts earlier builds wrote, and a
+// future v4 — fails with the same format error on every read path:
+// the heap parse, the zero-copy view, and backend.Open.
+func TestOnlyFormatV3Opens(t *testing.T) {
+	current, err := os.ReadFile(writeSnapshotFile(t, testSnapshot(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Kind() != KindMem {
-		t.Fatalf("Kind() = %q, want %q", be.Kind(), KindMem)
+	if _, err := Open(writeFile(t, "v3.tsnap", current)); err != nil {
+		t.Fatalf("current format must open: %v", err)
 	}
-	if !be.Loaded() || be.MappedBytes() != 0 {
-		t.Errorf("heap backend state: loaded=%v mapped=%d", be.Loaded(), be.MappedBytes())
-	}
-	if st := be.GraphStats(); st.Nodes != 2 || st.Rels != 1 {
-		t.Errorf("GraphStats() = %+v", st)
-	}
-	if be.Index() == nil {
-		t.Error("heap backend must compile an index")
+	const want = "unsupported snapshot format version"
+	for _, c := range []struct {
+		version uint16
+		drop    []string
+	}{
+		{1, []string{"sumc", "csr3"}},
+		{2, []string{"csr3"}},
+		{4, nil},
+	} {
+		data := withVersion(t, current, c.version, c.drop...)
+		_, readErr := store.Read(bytes.NewReader(data))
+		_, viewErr := store.ViewBytes(data)
+		_, openErr := Open(writeFile(t, fmt.Sprintf("v%d.tsnap", c.version), data))
+		for path, err := range map[string]error{"store.Read": readErr, "store.ViewBytes": viewErr, "backend.Open": openErr} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d: %s error = %v, want %q", c.version, path, err, want)
+			}
+		}
 	}
 }
 
@@ -185,28 +193,20 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	write := func(name string, b []byte) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	// Flip a byte inside the csr3 payload: the zero-copy open checksums
 	// that section before serving anything from it.
 	flipped := append([]byte(nil), data...)
 	flipped[csr3PayloadOffset(t, data)] ^= 0xff
-	if _, err := Open(write("flipped.tsnap", flipped)); err == nil {
+	if _, err := Open(writeFile(t, "flipped.tsnap", flipped)); err == nil {
 		t.Error("flipped index section must error, not fall back")
 	}
-	if _, err := Open(write("garbage.tsnap", []byte("definitely not a snapshot"))); err == nil {
+	if _, err := Open(writeFile(t, "garbage.tsnap", []byte("definitely not a snapshot"))); err == nil {
 		t.Error("garbage file must error")
 	}
-	if _, err := Open(write("empty.tsnap", nil)); err == nil {
+	if _, err := Open(writeFile(t, "empty.tsnap", nil)); err == nil {
 		t.Error("empty file must error")
 	}
-	if _, err := Open(filepath.Join(dir, "missing.tsnap")); err == nil {
+	if _, err := Open(filepath.Join(t.TempDir(), "missing.tsnap")); err == nil {
 		t.Error("missing file must error")
 	}
 }

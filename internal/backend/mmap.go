@@ -27,10 +27,9 @@ type Mmap struct {
 
 // openMapped attempts the zero-copy open. The third return
 // distinguishes "this path is decided" (ok=true: success, or a file
-// that framed as v3 but failed validation — corrupt, so erroring beats
-// silently re-parsing garbage) from "not eligible" (ok=false: mmap
-// unsupported or unavailable, or a pre-v3 snapshot; the caller falls
-// back to the heap parse).
+// that failed validation — corrupt, so erroring beats silently
+// re-parsing garbage) from "not eligible" (ok=false: mmap unsupported
+// or unavailable; the caller falls back to the heap parse).
 func openMapped(path string) (Backend, error, bool) {
 	data, err := mmapFile(path)
 	if err != nil {
@@ -42,11 +41,6 @@ func openMapped(path string) (Backend, error, bool) {
 		// identically, and its error messages are the canonical ones.
 		unmapFile(data)
 		return nil, err, true
-	}
-	if !view.HasIndex() {
-		// Pre-v3 snapshot: valid, but nothing to serve zero-copy.
-		unmapFile(data)
-		return nil, nil, false
 	}
 	meta, err := view.Meta()
 	if err != nil {

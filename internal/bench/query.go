@@ -9,8 +9,12 @@ import (
 	"strings"
 	"time"
 
+	"tabby/internal/core"
+	"tabby/internal/corpus"
+	"tabby/internal/cpg"
 	"tabby/internal/cypher"
 	"tabby/internal/graphdb"
+	"tabby/internal/javasrc"
 	"tabby/internal/searchindex"
 )
 
@@ -88,13 +92,13 @@ func queryWorkloads() ([]queryWorkload, error) {
 				text: `MATCH (a:Method)-[:CALL]->(b:Method) RETURN a.NAME LIMIT 10`},
 		},
 	}
-	comp, err := pathfinderComponent()
+	compName, compDB, err := componentGraph()
 	if err != nil {
 		return nil, err
 	}
 	component := queryWorkload{
-		name: comp.name,
-		db:   comp.db,
+		name: compName,
+		db:   compDB,
 		queries: []benchQuery{
 			{name: "sink-scan", selective: true,
 				text: `MATCH (m:Method) WHERE m.IS_SINK = true AND m.SINK_TYPE = "EXEC" RETURN m.NAME`},
@@ -107,6 +111,67 @@ func queryWorkloads() ([]queryWorkload, error) {
 		},
 	}
 	return []queryWorkload{synthetic, component}, nil
+}
+
+// buildLayeredGraph assembles a frozen layered call graph: one sink (TC
+// [0]) and `layers` layers of `width` methods, each method calling every
+// method in the layer below with a pass-through Polluted_Position. No
+// layer holds a source, so a chain search explores the full graph and
+// records nothing.
+func buildLayeredGraph(layers, width int) *graphdb.DB {
+	db := graphdb.New()
+	sink := db.CreateNode([]string{cpg.LabelMethod}, graphdb.Props{
+		cpg.PropName:             "sink",
+		cpg.PropIsSink:           true,
+		cpg.PropSinkType:         "EXEC",
+		cpg.PropTriggerCondition: []int{0},
+	})
+	prev := []graphdb.ID{sink}
+	for l := 1; l <= layers; l++ {
+		cur := make([]graphdb.ID, width)
+		for k := range cur {
+			cur[k] = db.CreateNode([]string{cpg.LabelMethod}, graphdb.Props{
+				cpg.PropName: fmt.Sprintf("m_%d_%d", l, k),
+			})
+		}
+		for _, caller := range cur {
+			for _, callee := range prev {
+				if _, err := db.CreateRel(cpg.RelCall, caller, callee, graphdb.Props{
+					cpg.PropPollutedPosition: []int{0},
+				}); err != nil {
+					panic(err) // graph is program-constructed; IDs are valid
+				}
+			}
+		}
+		prev = cur
+	}
+	db.Freeze()
+	return db
+}
+
+// componentGraph builds one real Table IX component's CPG as the
+// non-synthetic workload (commons-collections 3.2.1, the classic gadget
+// corpus; the first component if the name ever changes) and returns its
+// workload name.
+func componentGraph() (string, *graphdb.DB, error) {
+	comps := corpus.Components()
+	comp := comps[0]
+	for _, c := range comps {
+		if c.Name == "commons-collections(3.2.1)" {
+			comp = c
+			break
+		}
+	}
+	archives := append([]javasrc.ArchiveSource{corpus.RT()}, comp.Archives...)
+	prog, err := javasrc.CompileArchivesOpts(archives, javasrc.CompileOptions{Workers: 1})
+	if err != nil {
+		return "", nil, err
+	}
+	g, _, err := core.New(core.Options{Workers: 1}).BuildCPG(prog)
+	if err != nil {
+		return "", nil, err
+	}
+	return "component/" + comp.Name, g.DB, nil
 }
 
 // RunQuery benchmarks the compiled plan runner against the tree-walking

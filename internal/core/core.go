@@ -40,10 +40,7 @@ type Options struct {
 	VisitBudget int
 	// KeepPrunedCalls retains all-∞ CALL edges (MCG ablation mode).
 	KeepPrunedCalls bool
-	// TaintOptions tunes the controllability analysis. The old
-	// MaxCallDepth field is gone (the SCC wave scheduler replaced the
-	// depth-capped recursion and needs no bound); the CLIs still accept
-	// and warn about the flag for compatibility.
+	// TaintOptions tunes the controllability analysis.
 	TaintOptions taint.Options
 	// Workers bounds concurrency in every pipeline stage (compile,
 	// controllability analysis, CPG assembly, path search). Zero selects

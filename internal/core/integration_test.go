@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -10,43 +9,8 @@ import (
 	"tabby/internal/cypher"
 	"tabby/internal/graphdb"
 	"tabby/internal/javasrc"
-	"tabby/internal/pathfinder"
 	"tabby/internal/sinks"
 )
-
-// TestPersistedGraphStillSearchable: build → save → load → search must
-// find the same chains (the paper's store-once/query-many workflow).
-func TestPersistedGraphStillSearchable(t *testing.T) {
-	engine := New(Options{})
-	rep, err := engine.AnalyzeSources([]javasrc.ArchiveSource{corpus.RT()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.Graph.DB.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := graphdb.Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pathfinder.Find(loaded, pathfinder.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Chains) != len(rep.Chains) {
-		t.Fatalf("chains after reload: %d, want %d", len(res.Chains), len(rep.Chains))
-	}
-	want := make(map[string]bool, len(rep.Chains))
-	for _, c := range rep.Chains {
-		want[c.Key()] = true
-	}
-	for _, c := range res.Chains {
-		if !want[c.Key()] {
-			t.Errorf("unexpected chain after reload: %s", c.Key())
-		}
-	}
-}
 
 // TestCypherOverBuiltCPG runs researcher-style queries over a real CPG.
 func TestCypherOverBuiltCPG(t *testing.T) {

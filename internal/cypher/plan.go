@@ -11,7 +11,7 @@ import (
 
 // This file compiles a parsed Query into an iterator plan executing over
 // the searchindex's compiled columns instead of the generic property
-// store — the query-side twin of the pathfinder's Find/FindGeneric split.
+// store — the query-side twin of the pathfinder's indexed search.
 // The shape follows cayley's graph/iterator architecture: label and
 // IS_SOURCE/IS_SINK bitsets are the leaf scans, CSR adjacency rows are
 // the LinksTo traversals, WHERE conjuncts that test interned columns are

@@ -1,12 +1,10 @@
 package graphdb
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestCreateAndFetch(t *testing.T) {
@@ -170,65 +168,6 @@ func TestSetNodePropErrors(t *testing.T) {
 	}
 }
 
-func TestPersistRoundTrip(t *testing.T) {
-	db := New()
-	a := db.CreateNode([]string{"Method"}, Props{"NAME": "a#m()", "IS_SINK": true, "TC": []int{0, 1}})
-	b := db.CreateNode([]string{"Method", "Source"}, Props{"NAME": "b#r()"})
-	rid, err := db.CreateRel("CALL", a, b, Props{"PP": []int{2, 0}, "LINE": 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := loaded.Node(a)
-	if n == nil || n.Props["NAME"] != "a#m()" || n.Props["IS_SINK"] != true {
-		t.Fatalf("node lost in round trip: %+v", n)
-	}
-	if tc, ok := n.Props["TC"].([]int); !ok || !reflect.DeepEqual(tc, []int{0, 1}) {
-		t.Fatalf("TC type not normalized: %T %v", n.Props["TC"], n.Props["TC"])
-	}
-	r := loaded.Rel(rid)
-	if r == nil || r.Type != "CALL" || r.Start != a || r.End != b {
-		t.Fatalf("rel lost: %+v", r)
-	}
-	if pp, ok := r.Props["PP"].([]int); !ok || !reflect.DeepEqual(pp, []int{2, 0}) {
-		t.Fatalf("PP not normalized: %T", r.Props["PP"])
-	}
-	if line, ok := r.Props["LINE"].(int); !ok || line != 7 {
-		t.Fatalf("LINE not normalized to int: %T", r.Props["LINE"])
-	}
-	if got := loaded.Node(b); got == nil || len(got.Labels) != 2 {
-		t.Fatalf("labels lost: %+v", got)
-	}
-	// New IDs must not collide with loaded ones.
-	c := loaded.CreateNode([]string{"X"}, nil)
-	if c == a || c == b || c == rid {
-		t.Errorf("ID collision after load: %d", c)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Error("garbage must be rejected")
-	}
-	if _, err := Load(bytes.NewReader([]byte(`{"format":"other","version":1}` + "\n"))); err == nil {
-		t.Error("wrong format must be rejected")
-	}
-	if _, err := Load(bytes.NewReader([]byte(`{"format":"tabby-graph","version":9}` + "\n"))); err == nil {
-		t.Error("wrong version must be rejected")
-	}
-	// Truncated stream: header promises a node that never comes.
-	if _, err := Load(bytes.NewReader([]byte(`{"format":"tabby-graph","version":1,"nodes":1,"rels":0}` + "\n"))); err == nil {
-		t.Error("truncated stream must be rejected")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	db := New()
 	seed := db.CreateNode([]string{"M"}, Props{"NAME": "seed"})
@@ -251,76 +190,5 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if got := db.Degree(seed, DirIn, "CALL"); got != 800 {
 		t.Errorf("Degree = %d, want 800", got)
-	}
-}
-
-// Property test: persistence preserves node count, labels, and adjacency
-// for arbitrary small graphs.
-func TestPersistPropertyQuick(t *testing.T) {
-	f := func(nNodes uint8, edges []uint16) bool {
-		n := int(nNodes%20) + 1
-		db := New()
-		ids := make([]ID, n)
-		for i := range ids {
-			ids[i] = db.CreateNode([]string{"N"}, Props{"I": i})
-		}
-		for _, e := range edges {
-			from := ids[int(e)%n]
-			to := ids[int(e>>8)%n]
-			if _, err := db.CreateRel("E", from, to, nil); err != nil {
-				return false
-			}
-		}
-		var buf bytes.Buffer
-		if err := db.Save(&buf); err != nil {
-			return false
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			return false
-		}
-		s1, s2 := db.Stats(), loaded.Stats()
-		if s1.Nodes != s2.Nodes || s1.Rels != s2.Rels {
-			return false
-		}
-		for _, id := range ids {
-			if db.Degree(id, DirBoth) != loaded.Degree(id, DirBoth) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// failWriter fails after n bytes, for save-path error injection.
-type failWriter struct{ left int }
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if w.left <= 0 {
-		return 0, fmt.Errorf("injected write failure")
-	}
-	n := len(p)
-	if n > w.left {
-		n = w.left
-	}
-	w.left -= n
-	if n < len(p) {
-		return n, fmt.Errorf("injected write failure")
-	}
-	return n, nil
-}
-
-func TestSaveWriteFailure(t *testing.T) {
-	db := New()
-	a := db.CreateNode([]string{"N"}, Props{"NAME": "a"})
-	bID := db.CreateNode([]string{"N"}, Props{"NAME": "b"})
-	mustRel(t, db, "E", a, bID)
-	for _, budget := range []int{0, 10, 60} {
-		if err := db.Save(&failWriter{left: budget}); err == nil {
-			t.Errorf("Save with %d-byte budget must fail", budget)
-		}
 	}
 }

@@ -1,11 +1,15 @@
-package pathfinder
+package pathfinder_test
 
 import (
 	"fmt"
 	"testing"
 
+	"tabby/internal/core"
+	"tabby/internal/corpus"
 	"tabby/internal/cpg"
 	"tabby/internal/graphdb"
+	"tabby/internal/javasrc"
+	"tabby/internal/pathfinder"
 	"tabby/internal/searchindex"
 )
 
@@ -13,6 +17,9 @@ import (
 // `layers` layers of `width` methods, each calling every method one layer
 // down with a pass-through Polluted_Position. No sources, so a search
 // explores everything and records nothing — pure traversal work.
+// Deep-narrow shapes revisit nodes along many distinct paths (where
+// dead-state memoization pays); shallow-wide shapes stress raw per-edge
+// cost (where the CSR layout pays).
 func benchGraph(tb testing.TB, layers, width int) *graphdb.DB {
 	tb.Helper()
 	db := graphdb.New()
@@ -45,25 +52,61 @@ func benchGraph(tb testing.TB, layers, width int) *graphdb.DB {
 	return db
 }
 
-func benchmarkEngine(b *testing.B, find func(*graphdb.DB, Options) (*Result, error)) {
-	db := benchGraph(b, 8, 3)
-	opts := Options{Workers: 1}
-	searchindex.For(db) // compile outside the timed region
-	if _, err := find(db, opts); err != nil {
-		b.Fatal(err)
+// componentGraph builds the CPG of commons-collections 3.2.1, the classic
+// gadget corpus, as the benchmarks' real-world workload.
+func componentGraph(tb testing.TB) *graphdb.DB {
+	tb.Helper()
+	comp, err := corpus.ComponentByName("commons-collections(3.2.1)")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := find(db, opts); err != nil {
-			b.Fatal(err)
-		}
+	archives := append([]javasrc.ArchiveSource{corpus.RT()}, comp.Archives...)
+	prog, err := javasrc.CompileArchivesOpts(archives, javasrc.CompileOptions{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, _, err := core.New(core.Options{Workers: 1}).BuildCPG(prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g.DB
+}
+
+// benchmarkEngine times sequential (Workers: 1) searches with one engine
+// over each workload: the 8×3 graph TestSteadyStateAllocs gates, a deep
+// re-convergent graph, a shallow wide one, and a real component.
+func benchmarkEngine(b *testing.B, find func(*graphdb.DB, pathfinder.Options) (*pathfinder.Result, error)) {
+	workloads := []struct {
+		name  string
+		build func(testing.TB) *graphdb.DB
+	}{
+		{"synthetic-8x3", func(tb testing.TB) *graphdb.DB { return benchGraph(tb, 8, 3) }},
+		{"synthetic-deep", func(tb testing.TB) *graphdb.DB { return benchGraph(tb, 11, 2) }},
+		{"synthetic-wide", func(tb testing.TB) *graphdb.DB { return benchGraph(tb, 2, 64) }},
+		{"component/commons-collections(3.2.1)", componentGraph},
+	}
+	for _, w := range workloads {
+		b.Run(w.name, func(b *testing.B) {
+			db := w.build(b)
+			opts := pathfinder.Options{Workers: 1}
+			searchindex.For(db) // compile outside the timed region
+			if _, err := find(db, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := find(db, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkFindIndexed(b *testing.B) { benchmarkEngine(b, Find) }
+func BenchmarkFindIndexed(b *testing.B) { benchmarkEngine(b, pathfinder.Find) }
 
-func BenchmarkFindGeneric(b *testing.B) { benchmarkEngine(b, FindGeneric) }
+func BenchmarkFindGeneric(b *testing.B) { benchmarkEngine(b, pathfinder.FindGeneric) }
 
 // TestSteadyStateAllocs gates the tentpole's zero-allocation claim: once
 // the index is compiled, a whole Find over a graph whose search expands
@@ -74,14 +117,14 @@ func BenchmarkFindGeneric(b *testing.B) { benchmarkEngine(b, FindGeneric) }
 // this immediately.
 func TestSteadyStateAllocs(t *testing.T) {
 	db := benchGraph(t, 8, 3) // 3^8 path explosion, memo-pruned
-	opts := Options{Workers: 1}
+	opts := pathfinder.Options{Workers: 1}
 	searchindex.For(db)
-	if _, err := Find(db, opts); err != nil {
+	if _, err := pathfinder.Find(db, opts); err != nil {
 		t.Fatal(err)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Find(db, opts); err != nil {
+			if _, err := pathfinder.Find(db, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

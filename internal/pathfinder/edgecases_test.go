@@ -1,11 +1,14 @@
 package pathfinder
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tabby/internal/cpg"
 	"tabby/internal/graphdb"
+	"tabby/internal/searchindex"
 )
 
 // bothEngines runs the same search through the indexed engine (Find) and
@@ -172,5 +175,63 @@ func TestNormalizeDoesNotMutateBacking(t *testing.T) {
 	c := TC{0, 2, 5}
 	if nc := c.normalize(); &nc[0] != &c[0] {
 		t.Error("normalize copied an already-normal TC")
+	}
+}
+
+// TestBadSinkSeedsError covers the two sink cases where the index's seed
+// resolver and the oracle's store-backed one word their errors
+// differently: a SinkNodes entry the graph does not hold, and a sink
+// whose TRIGGER_CONDITION is not an []int (the index compiles no TC for
+// it). Find and FindIndex must both return an error naming the sink —
+// never panic, never search — whether the sink is passed explicitly or
+// picked up by the default IS_SINK scan.
+func TestBadSinkSeedsError(t *testing.T) {
+	db := graphdb.New()
+	good := db.CreateNode([]string{cpg.LabelMethod}, graphdb.Props{
+		cpg.PropName: "good", cpg.PropIsSink: true, cpg.PropTriggerCondition: []int{0},
+	})
+	stringTC := db.CreateNode([]string{cpg.LabelMethod}, graphdb.Props{
+		cpg.PropName: "stringTC", cpg.PropIsSink: true, cpg.PropTriggerCondition: "0",
+	})
+	floatsTC := db.CreateNode([]string{cpg.LabelMethod}, graphdb.Props{
+		cpg.PropName: "floatsTC", cpg.PropIsSink: true, cpg.PropTriggerCondition: []float64{0},
+	})
+	src := db.CreateNode([]string{cpg.LabelMethod}, graphdb.Props{cpg.PropName: "src", cpg.PropIsSource: true})
+	mustRel(t, db, cpg.RelCall, src, good, graphdb.Props{cpg.PropPollutedPosition: []int{0}})
+	const absent graphdb.ID = 1 << 20
+	db.Freeze()
+
+	engines := map[string]func(Options) (*Result, error){
+		"Find":      func(o Options) (*Result, error) { return Find(db, o) },
+		"FindIndex": func(o Options) (*Result, error) { return FindIndex(searchindex.For(db), o) },
+	}
+	cases := []struct {
+		name  string
+		sinks []graphdb.ID // nil: default IS_SINK scan
+		bad   graphdb.ID
+	}{
+		{"absent-from-index", []graphdb.ID{good, absent}, absent},
+		{"string-TC", []graphdb.ID{good, stringTC}, stringTC},
+		{"float-slice-TC", []graphdb.ID{floatsTC}, floatsTC},
+		{"default-scan", nil, stringTC}, // first bad sink in node order
+	}
+	for _, c := range cases {
+		for name, find := range engines {
+			res, err := find(Options{SinkNodes: c.sinks})
+			if err == nil {
+				t.Errorf("%s/%s: no error (result %+v)", c.name, name, res)
+				continue
+			}
+			if want := fmt.Sprintf("sink node %d has no %s", c.bad, cpg.PropTriggerCondition); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s/%s: error %q, want it to say %q", c.name, name, err, want)
+			}
+			if res != nil {
+				t.Errorf("%s/%s: error with a non-nil result", c.name, name)
+			}
+		}
+	}
+	// The good sink alone still searches.
+	if res, err := Find(db, Options{SinkNodes: []graphdb.ID{good}}); err != nil || len(res.Chains) != 1 {
+		t.Fatalf("good sink: %v, %v", res, err)
 	}
 }

@@ -24,7 +24,6 @@ import (
 // when ≤R levels are left), which makes the cutoff context-free.
 type indexedFinder struct {
 	ix     *searchindex.Index
-	db     *graphdb.DB // only for the SourceFilter callback contract
 	opts   Options
 	budget *visitBudget
 
@@ -46,10 +45,9 @@ type indexedFinder struct {
 	stopped bool
 }
 
-func newIndexedFinder(ix *searchindex.Index, db *graphdb.DB, opts Options, budget *visitBudget) *indexedFinder {
+func newIndexedFinder(ix *searchindex.Index, opts Options, budget *visitBudget) *indexedFinder {
 	return &indexedFinder{
 		ix:       ix,
-		db:       db,
 		opts:     opts,
 		budget:   budget,
 		maxDepth: opts.MaxDepth,
@@ -65,12 +63,12 @@ func (f *indexedFinder) search(s seed) sinkSearch {
 	v := f.ix.IdxOf(s.sink)
 	if v < 0 {
 		// Caller-supplied sink ID that is not a node (possible only with a
-		// SinkTC override, which skips property validation): the generic
-		// engine finds no edges and no source there, i.e. nothing.
+		// SinkTC override, which skips property validation): no edges and
+		// no source there, i.e. nothing.
 		return sinkSearch{}
 	}
 	f.scratch = f.scratch[:0]
-	for _, x := range s.tc { // already normalized by collectSeeds
+	for _, x := range s.tc { // already normalized by collectSeedsIndex
 		f.scratch = append(f.scratch, int32(x))
 	}
 	ref := f.pool.Intern(f.scratch)
@@ -113,7 +111,7 @@ func (f *indexedFinder) dfs(v, tcRef int32) (found, tainted bool) {
 	// Expander (Algorithm 2), CALL case: walk to callers of this node.
 	// Budget is spent per edge slot before any rejection — including the
 	// PP-less edges the index keeps with ref -1 — so expansion accounting
-	// matches the generic engine edge for edge.
+	// matches the generic-store oracle (generic_test.go) edge for edge.
 	lo, hi := f.ix.CallRange(v)
 	for e := lo; e < hi; e++ {
 		if f.spendBudget() {
@@ -220,7 +218,7 @@ func insertSorted(dst []int32, v int32) []int32 {
 // isSource is the Evaluator's source test. SourceMethodNames resolves
 // against the index's METHOD_NAME column (no store access — works on
 // mmap-viewed indexes); the callback-based SourceFilter needs the
-// generic store and is kept for embedders.
+// property store and is kept for embedders.
 func (f *indexedFinder) isSource(v int32) bool {
 	if f.opts.DispatchSources && f.ix.IsDispatchTarget(v) {
 		return true
@@ -229,7 +227,7 @@ func (f *indexedFinder) isSource(v int32) bool {
 		return f.srcWant[f.ix.MethodName(v)]
 	}
 	if f.opts.SourceFilter != nil {
-		return f.opts.SourceFilter(f.db, f.ix.IDOf(v))
+		return f.opts.SourceFilter(f.ix.DB(), f.ix.IDOf(v))
 	}
 	return f.ix.IsSource(v)
 }

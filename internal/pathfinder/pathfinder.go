@@ -5,22 +5,17 @@
 // Polluted_Position (Formula 4, Algorithms 2 and 3) until it reaches a
 // deserialization source method.
 //
-// Two traversal engines implement the same search:
+// The search runs against the compiled search index (package
+// searchindex): lock-free CSR adjacency, bitset path membership,
+// reusable stacks, interned Trigger_Conditions, and (node, TC)-state
+// memoization of proven-dead subsearches. FindIndex searches an index
+// directly (including one viewed out of an mmap'd snapshot); Find is
+// FindIndex over the index cached on a live store.
 //
-//   - Find runs against the compiled search index (package searchindex):
-//     lock-free CSR adjacency, bitset path membership, reusable stacks,
-//     interned Trigger_Conditions, and (node, TC)-state memoization of
-//     proven-dead subsearches. This is the production path.
-//   - FindGeneric walks the generic property store directly, edge by
-//     edge, exactly as the original implementation did. It is kept as
-//     the executable reference: the equivalence suite pins Find's
-//     chains, order, and truncation to it on the full corpus.
-//
-// Both engines produce identical chains in identical order whenever the
-// visit budget is not exhausted; an exhausted budget stops either engine
-// at a cut-off that depends on how much work reaching it took (the index
-// engine skips memoized-dead subtrees, so it may get further on the same
-// budget), and Truncated reports the cut-off either way.
+// The original engine, which walked the generic property store edge by
+// edge, survives only in this package's tests as the executable oracle:
+// the equivalence suites pin FindIndex's chains, order, and truncation
+// to it on the full corpus.
 package pathfinder
 
 import (
@@ -92,24 +87,6 @@ func (tc TC) String() string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
-// traverse implements Formula 4: TC_next = {PP[x] | x ∈ TC}. The second
-// return is false when any required position is uncontrollable (∞),
-// which rejects the edge (Algorithm 2 lines 4–7).
-func traverse(tc TC, pp []int) (TC, bool) {
-	next := make(TC, 0, len(tc))
-	for _, x := range tc {
-		if x < 0 || x >= len(pp) {
-			return nil, false // position not bound at this call: treat as ∞
-		}
-		w := pp[x]
-		if w < 0 {
-			return nil, false // ∞
-		}
-		next = append(next, w)
-	}
-	return next.normalize(), true
-}
-
 // Chain is one discovered gadget chain, source first (the presentation
 // order of Table I).
 type Chain struct {
@@ -168,9 +145,9 @@ type Options struct {
 	// SourceMethodNames, when non-empty, accepts exactly the nodes whose
 	// METHOD_NAME is one of these values (nodes without a string-typed
 	// METHOD_NAME read as ""). It takes precedence over SourceFilter and
-	// is handled natively by both engines against the compiled index's
-	// METHOD_NAME column, so it works on database-free (mmap-viewed)
-	// indexes where a SourceFilter callback would have no store to read.
+	// is resolved against the compiled index's METHOD_NAME column, so it
+	// works on database-free (mmap-viewed) indexes where a SourceFilter
+	// callback would have no store to read.
 	SourceMethodNames []string
 	// DispatchSources additionally accepts any node with an incoming
 	// DISPATCH edge as a chain source, OR-ed with the other source tests —
@@ -219,9 +196,8 @@ type Result struct {
 	// Truncated is true when a cap (MaxChains/VisitBudget) stopped the
 	// search early.
 	Truncated bool
-	// Expansions counts edge traversals performed. The indexed engine
-	// skips subsearches it has proven dead, so this is typically lower
-	// than FindGeneric's count for the same graph.
+	// Expansions counts edge traversals performed. Subsearches proven
+	// dead are skipped without being re-expanded, so they do not count.
 	Expansions int
 }
 
@@ -230,40 +206,6 @@ type seed struct {
 	sink     graphdb.ID
 	tc       TC
 	sinkType string
-}
-
-// collectSeeds resolves and validates every sink seed up front so a bad
-// sink is reported deterministically (first in sink order) before any
-// worker starts.
-func collectSeeds(db *graphdb.DB, opts Options) ([]seed, error) {
-	sinks := opts.SinkNodes
-	if sinks == nil {
-		sinks = db.FindNodes(cpg.LabelMethod, cpg.PropIsSink, true)
-	}
-	seeds := make([]seed, len(sinks))
-	for i, sink := range sinks {
-		var tc TC
-		if opts.SinkTC != nil {
-			tc = append(TC(nil), opts.SinkTC...).normalize()
-		} else {
-			tcProp, ok := db.NodeProp(sink, cpg.PropTriggerCondition)
-			if !ok {
-				return nil, fmt.Errorf("pathfinder: sink node %d has no %s", sink, cpg.PropTriggerCondition)
-			}
-			tcInts, ok := tcProp.([]int)
-			if !ok {
-				return nil, fmt.Errorf("pathfinder: sink node %d %s has type %T", sink, cpg.PropTriggerCondition, tcProp)
-			}
-			// Copy before normalizing: the prop slice belongs to the store,
-			// and concurrent searches over a shared (frozen) store must not
-			// sort it in place.
-			tc = append(TC(nil), tcInts...).normalize()
-		}
-		sinkType, _ := db.NodeProp(sink, cpg.PropSinkType)
-		st, _ := sinkType.(string)
-		seeds[i] = seed{sink: sink, tc: tc, sinkType: st}
-	}
-	return seeds, nil
 }
 
 // sinkSearch is what one per-seed finder hands to the canonical merge.
@@ -299,30 +241,22 @@ func merge(outs []sinkSearch, opts Options, budget *visitBudget) *Result {
 	return res
 }
 
-// Find runs the gadget-chain search over a built CPG database, traversing
-// the compiled search index (built lazily and cached on the store; see
-// searchindex.For). Each sink seed is searched independently
-// (concurrently when Options.Workers allows) against a shared visit
-// budget; per-sink results are merged in sink order, deduplicated, and
-// truncated at MaxChains, so the output is canonical regardless of
-// completion order.
+// Find runs the gadget-chain search over a built CPG database: FindIndex
+// over the store's compiled search index (built lazily and cached on the
+// store; see searchindex.For).
 func Find(db *graphdb.DB, opts Options) (*Result, error) {
-	opts.applyDefaults()
-	seeds, err := collectSeeds(db, opts)
-	if err != nil {
-		return nil, err
-	}
-	return findWithSeeds(searchindex.For(db), db, seeds, opts), nil
+	return FindIndex(searchindex.For(db), opts)
 }
 
-// FindIndex runs the same search as Find directly over a compiled
-// search index, resolving seeds from the index's columns instead of the
-// property store. This is the zero-copy serving path: an index viewed
-// out of an mmap'd snapshot has no backing database at all (DB() is
-// nil), and every option except the callback-based SourceFilter — use
-// SourceMethodNames instead — works identically. For an index compiled
-// from a live store, FindIndex(searchindex.For(db), opts) and
-// Find(db, opts) produce byte-identical results.
+// FindIndex runs the gadget-chain search over a compiled search index,
+// resolving sink seeds from the index's columns. Each seed is searched
+// independently (concurrently when Options.Workers allows) against a
+// shared visit budget; per-sink results are merged in sink order,
+// deduplicated, and truncated at MaxChains, so the output is canonical
+// regardless of completion order. An index viewed out of an mmap'd
+// snapshot has no backing database (DB() is nil); every option except
+// the callback-based SourceFilter — use SourceMethodNames instead —
+// works on it identically.
 func FindIndex(ix *searchindex.Index, opts Options) (*Result, error) {
 	opts.applyDefaults()
 	if opts.SourceFilter != nil && len(opts.SourceMethodNames) == 0 && ix.DB() == nil {
@@ -332,18 +266,12 @@ func FindIndex(ix *searchindex.Index, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return findWithSeeds(ix, ix.DB(), seeds, opts), nil
-}
-
-// findWithSeeds fans validated seeds out to per-seed indexed finders
-// against one shared visit budget and merges canonically.
-func findWithSeeds(ix *searchindex.Index, db *graphdb.DB, seeds []seed, opts Options) *Result {
 	budget := &visitBudget{limit: int64(opts.VisitBudget)}
 	outs := parallel.Map(opts.Workers, seeds, func(_ int, s seed) sinkSearch {
-		f := newIndexedFinder(ix, db, opts, budget)
+		f := newIndexedFinder(ix, opts, budget)
 		return f.search(s)
 	})
-	return merge(outs, opts, budget)
+	return merge(outs, opts, budget), nil
 }
 
 // sourceNameSet builds the SourceMethodNames lookup (nil when unused).
@@ -358,11 +286,14 @@ func sourceNameSet(opts Options) map[string]bool {
 	return want
 }
 
-// collectSeedsIndex is collectSeeds against the compiled index: the
-// default sink set is every Method node with its IS_SINK bit set, in
-// ascending node order (which is ascending store-ID order — the same
-// order the property store yields). Trigger_Conditions come from the
-// index's interned TC column, already normalized at compile time.
+// collectSeedsIndex resolves and validates every sink seed up front, so
+// a bad sink is reported deterministically (first in sink order) before
+// any worker starts. The default sink set is every Method node with its
+// IS_SINK bit set, in ascending node order (which is ascending store-ID
+// order — the same order the property store yields). Trigger_Conditions
+// come from the index's interned TC column, already normalized at
+// compile time; a sink the index does not hold, or whose
+// TRIGGER_CONDITION is not an []int, has no TC there and is rejected.
 func collectSeedsIndex(ix *searchindex.Index, opts Options) ([]seed, error) {
 	var seeds []seed
 	addSeed := func(sink graphdb.ID, v int32) error {

@@ -19,12 +19,12 @@ var ErrNotFound = errors.New("server: graph not registered")
 // merely *registered* (a file path recorded at boot, opened on the
 // first request that names it). Registration is how a server fronts
 // thousands of snapshot files without paying thousands of opens: a
-// version-3 snapshot opens as a zero-copy mmap view in milliseconds
-// when first asked for, and its resident cost is page cache, not heap.
+// snapshot opens as a zero-copy mmap view in milliseconds when first
+// asked for, and its resident cost is page cache, not heap.
 //
-// Heap-resident backends (full snapshot parses: uploads, pre-v3 files,
-// hosts without mmap) are bounded by an LRU policy: beyond the
-// capacity, the least-recently-used heap entry is evicted — demoted
+// Heap-resident backends (full snapshot parses: uploads, hosts without
+// mmap) are bounded by an LRU policy: beyond the capacity, the
+// least-recently-used heap entry is evicted — demoted
 // back to "registered" when it came from a file (a later request
 // reopens it), dropped entirely when it did not (uploaded graphs have
 // no bytes to reopen). Mmap-backed entries never count against the

@@ -492,8 +492,10 @@ type chainsRequest struct {
 	// TC overrides the Trigger_Condition of every seed (required when
 	// seeding from methods that are not registered sinks).
 	TC []int `json:"tc"`
-	// SourceNames accepts only sources with these METHOD_NAMEs; empty
-	// accepts every IS_SOURCE node.
+	// SourceNames, when non-empty, replaces the IS_SOURCE test: a chain
+	// ends at any node whose METHOD_NAME is one of these values, tagged
+	// IS_SOURCE or not (a sink's METHOD_NAME matches too, so sink-to-sink
+	// chains can appear). Empty accepts every IS_SOURCE node.
 	SourceNames []string `json:"source_names"`
 	// DispatchSources additionally accepts any target of a DISPATCH edge
 	// as a chain entry point. Only meaningful on graphs built with the

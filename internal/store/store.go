@@ -8,7 +8,7 @@
 // On-disk layout:
 //
 //	8-byte magic "TABBYSNP" | uint16 LE format version
-//	section*                 (fixed order: meta sink srcs strs node rels indx fini)
+//	section*                 (fixed order: meta sink srcs strs node rels indx sumc csr3 fini)
 //
 // where each section is framed as
 //
@@ -40,13 +40,13 @@ import (
 	"tabby/internal/taint"
 )
 
-// FormatVersion is the current snapshot format. Version 2 added the
-// "sumc" section carrying the persisted method-summary cache; version 3
-// added the "csr3" section — the compiled search index laid out as
+// FormatVersion is the snapshot format this build writes and the only
+// one it reads. Its "sumc" section carries the persisted method-summary
+// cache and its "csr3" section the compiled search index, laid out as
 // aligned little-endian arrays an mmap-backed server views in place
 // (package backend) while heap loaders simply CRC-check and skip it.
-// Version 1 and 2 files (without the newer sections) still load.
-// Readers reject anything newer with a clear error.
+// Readers reject every other version with a clear error; rewrite older
+// snapshots by re-running the analysis with `tabby -save`.
 const FormatVersion = 3
 
 const (
@@ -57,24 +57,9 @@ const (
 	sectionOverhead = 12 // 4-byte tag + uint32 length + uint32 CRC
 )
 
-// The fixed section order per format version. A snapshot must contain
+// sectionOrder is the fixed section order. A snapshot must contain
 // exactly these sections, in this order.
-var (
-	sectionOrderV1 = []string{"meta", "sink", "srcs", "strs", "node", "rels", "indx", "fini"}
-	sectionOrderV2 = []string{"meta", "sink", "srcs", "strs", "node", "rels", "indx", "sumc", "fini"}
-	sectionOrderV3 = []string{"meta", "sink", "srcs", "strs", "node", "rels", "indx", "sumc", "csr3", "fini"}
-)
-
-func sectionOrderFor(version uint16) []string {
-	switch {
-	case version >= 3:
-		return sectionOrderV3
-	case version == 2:
-		return sectionOrderV2
-	default:
-		return sectionOrderV1
-	}
-}
+var sectionOrder = []string{"meta", "sink", "srcs", "strs", "node", "rels", "indx", "sumc", "csr3", "fini"}
 
 // Property value type tags.
 const (
@@ -111,7 +96,7 @@ type Snapshot struct {
 	Sources sinks.SourceConfig
 	// Summaries is the exported method-summary cache of the analysis, so a
 	// service loading the snapshot can warm-start incremental re-analysis.
-	// Optional: empty on version-1 snapshots and on saves without a cache.
+	// Optional: empty on saves without a cache.
 	Summaries []taint.ConeEntry
 }
 
@@ -156,7 +141,7 @@ func Write(w io.Writer, snap *Snapshot) error {
 	// alias them), so it is encoded last, once every preceding section's
 	// length is final.
 	off := int64(headerLen)
-	for _, tag := range sectionOrderFor(FormatVersion) {
+	for _, tag := range sectionOrder {
 		if tag == "csr3" {
 			break
 		}
@@ -170,7 +155,7 @@ func Write(w io.Writer, snap *Snapshot) error {
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("store: write header: %w", err)
 	}
-	for _, tag := range sectionOrderFor(FormatVersion) {
+	for _, tag := range sectionOrder {
 		if err := writeSection(w, tag, sections[tag]); err != nil {
 			return err
 		}
@@ -400,15 +385,13 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if string(hdr[:len(magic)]) != magic {
 		return nil, fmt.Errorf("store: bad magic %q: not a tabby snapshot file", hdr[:len(magic)])
 	}
-	version := binary.LittleEndian.Uint16(hdr[len(magic):])
-	if version < 1 || version > FormatVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot format version %d (this build reads versions 1–%d)", version, FormatVersion)
+	if err := checkVersion(hdr[len(magic):]); err != nil {
+		return nil, err
 	}
 
-	order := sectionOrderFor(version)
-	payloads := make(map[string][]byte, len(order))
-	for _, want := range order {
-		tag, payload, err := readSection(r, order)
+	payloads := make(map[string][]byte, len(sectionOrder))
+	for _, want := range sectionOrder {
+		tag, payload, err := readSection(r, sectionOrder)
 		if err != nil {
 			return nil, err
 		}
@@ -443,10 +426,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if ex.Indexes, err = decodeIndexes(payloads["indx"], tab); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		if snap.Summaries, err = decodeSummaries(payloads["sumc"], tab); err != nil {
-			return nil, err
-		}
+	if snap.Summaries, err = decodeSummaries(payloads["sumc"], tab); err != nil {
+		return nil, err
 	}
 	db, err := graphdb.Import(ex)
 	if err != nil {
@@ -455,6 +436,14 @@ func Read(r io.Reader) (*Snapshot, error) {
 	db.Freeze()
 	snap.DB = db
 	return snap, nil
+}
+
+// checkVersion rejects every header version but FormatVersion.
+func checkVersion(b []byte) error {
+	if version := binary.LittleEndian.Uint16(b); version != FormatVersion {
+		return fmt.Errorf("store: unsupported snapshot format version %d (this build reads version %d)", version, FormatVersion)
+	}
+	return nil
 }
 
 // ReadFile loads a snapshot from path.

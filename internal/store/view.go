@@ -1,5 +1,4 @@
-// Zero-copy snapshot views. A version-3 snapshot carries a "csr3"
-// section holding the compiled search index as aligned little-endian
+// Zero-copy snapshot views. Every snapshot carries a "csr3" section holding the compiled search index as aligned little-endian
 // arrays (searchindex.AppendLayout); Mapped frames the raw file bytes
 // — typically an mmap'd region — without decoding the graph, so a
 // server can start answering /v1/chains and /v1/query from the index
@@ -32,7 +31,6 @@ type sectionRef struct {
 // untouched; Snapshot() runs the full checked decode on demand.
 type Mapped struct {
 	data     []byte
-	version  uint16
 	sections map[string]sectionRef
 }
 
@@ -49,13 +47,12 @@ func ViewBytes(data []byte) (*Mapped, error) {
 	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("store: bad magic %q: not a tabby snapshot file", data[:len(magic)])
 	}
-	version := binary.LittleEndian.Uint16(data[len(magic):])
-	if version < 1 || version > FormatVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot format version %d (this build reads versions 1–%d)", version, FormatVersion)
+	if err := checkVersion(data[len(magic):]); err != nil {
+		return nil, err
 	}
-	m := &Mapped{data: data, version: version, sections: make(map[string]sectionRef)}
+	m := &Mapped{data: data, sections: make(map[string]sectionRef)}
 	off := int64(headerLen)
-	for _, want := range sectionOrderFor(version) {
+	for _, want := range sectionOrder {
 		if off+8 > int64(len(data)) {
 			return nil, fmt.Errorf("store: section frame truncated at offset %d (want %q)", off, want)
 		}
@@ -85,13 +82,9 @@ func ViewBytes(data []byte) (*Mapped, error) {
 	return m, nil
 }
 
-// checkCRC verifies one section's stored checksum (no-op for sections
-// the version doesn't carry).
+// checkCRC verifies one section's stored checksum.
 func (m *Mapped) checkCRC(tag string) error {
-	s, ok := m.sections[tag]
-	if !ok {
-		return nil
-	}
+	s := m.sections[tag]
 	pay := m.data[s.off : s.off+s.len]
 	want := binary.LittleEndian.Uint32(m.data[s.off+s.len:])
 	if got := crc32.ChecksumIEEE(pay); got != want {
@@ -100,35 +93,19 @@ func (m *Mapped) checkCRC(tag string) error {
 	return nil
 }
 
-// Version returns the snapshot's format version.
-func (m *Mapped) Version() uint16 { return m.version }
-
-// HasIndex reports whether the snapshot carries a csr3 section — i.e.
-// whether it can be served zero-copy at all.
-func (m *Mapped) HasIndex() bool {
-	_, ok := m.sections["csr3"]
-	return ok
-}
-
 // Meta decodes the (CRC-verified) metadata section.
 func (m *Mapped) Meta() (Meta, error) {
-	s, ok := m.sections["meta"]
-	if !ok {
-		return Meta{}, fmt.Errorf("store: snapshot has no meta section")
-	}
+	s := m.sections["meta"]
 	return decodeMeta(m.data[s.off : s.off+s.len])
 }
 
 // Index views the csr3 section as a ready-to-serve search index. The
 // returned index and stats alias m's bytes — zero copy, O(labels +
 // relationship types) allocation — and stay valid only while the
-// mapping does. Fails cleanly when the snapshot predates v3 or the
-// host is big-endian; callers then fall back to Snapshot().
+// mapping does. Fails cleanly when the host cannot view the layout
+// (big-endian); callers then fall back to Snapshot().
 func (m *Mapped) Index() (*searchindex.Index, graphdb.Stats, error) {
-	s, ok := m.sections["csr3"]
-	if !ok {
-		return nil, graphdb.Stats{}, fmt.Errorf("store: snapshot format version %d carries no index section (zero-copy serving needs version 3)", m.version)
-	}
+	s := m.sections["csr3"]
 	return decodeCSR3(m.data[s.off:s.off+s.len], s.off)
 }
 

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -22,9 +21,9 @@ func alignedCopy(data []byte) []byte {
 }
 
 // TestViewBytesRoundTrip: a freshly written snapshot views zero-copy —
-// version, metadata, graph stats, and the compiled index must all match
-// what a full decode produces, and the on-demand Snapshot() must equal
-// the original.
+// metadata, graph stats, and the compiled index must all match what a
+// full decode produces, and the on-demand Snapshot() must equal the
+// original.
 func TestViewBytesRoundTrip(t *testing.T) {
 	snap := buildSnapshot(t)
 	data := alignedCopy(encodeSnapshot(t, snap))
@@ -32,12 +31,6 @@ func TestViewBytesRoundTrip(t *testing.T) {
 	m, err := ViewBytes(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Version() != FormatVersion {
-		t.Errorf("Version() = %d, want %d", m.Version(), FormatVersion)
-	}
-	if !m.HasIndex() {
-		t.Fatal("current-format snapshot must carry an index section")
 	}
 	meta, err := m.Meta()
 	if err != nil {
@@ -123,94 +116,6 @@ func TestViewBytesNeverServesFlippedBytes(t *testing.T) {
 		}
 		if _, err := m.Snapshot(); err == nil {
 			t.Fatalf("flip at %d/%d: both ViewBytes and Snapshot accepted corrupt bytes", i, len(data))
-		}
-	}
-}
-
-// TestViewBytesPreV3FallsBack: older snapshots view (the framing is
-// version-aware) but have no index; Index() errors cleanly and
-// Snapshot() remains the serving path.
-func TestViewBytesPreV3FallsBack(t *testing.T) {
-	data := encodeSnapshot(t, buildSnapshot(t))
-	for _, version := range []uint16{1, 2} {
-		old := alignedCopy(downgradeTo(t, data, version))
-		m, err := ViewBytes(old)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		if m.Version() != version {
-			t.Errorf("Version() = %d, want %d", m.Version(), version)
-		}
-		if m.HasIndex() {
-			t.Errorf("v%d snapshot claims an index section", version)
-		}
-		if _, _, err := m.Index(); err == nil {
-			t.Errorf("v%d: Index() must error", version)
-		}
-		if _, err := m.Meta(); err != nil {
-			t.Errorf("v%d: Meta(): %v", version, err)
-		}
-		if _, err := m.Snapshot(); err != nil {
-			t.Errorf("v%d: Snapshot(): %v", version, err)
-		}
-	}
-}
-
-// TestReadV2SnapshotBackwardCompat: the version-2 layout (summary cache
-// but no index section) still loads with everything intact — written
-// snapshots outlive the build that wrote them.
-func TestReadV2SnapshotBackwardCompat(t *testing.T) {
-	snap := buildSnapshot(t)
-	v2 := downgradeTo(t, encodeSnapshot(t, snap), 2)
-	got, err := Read(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("reading v2 snapshot: %v", err)
-	}
-	if !reflect.DeepEqual(got.Meta, snap.Meta) {
-		t.Errorf("meta differs after v2 load")
-	}
-	if !reflect.DeepEqual(got.Summaries, snap.Summaries) {
-		t.Errorf("v2 snapshot lost the summary cache")
-	}
-	if !reflect.DeepEqual(got.DB.Export(), snap.DB.Export()) {
-		t.Errorf("graph differs after v2 load")
-	}
-	// Re-encoding upgrades to the current version — and loads again.
-	var buf bytes.Buffer
-	if err := Write(&buf, got); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("re-reading upgraded snapshot: %v", err)
-	}
-}
-
-// TestV2TruncationAndFlips extends the exhaustive corruption suite to
-// the synthesized v2 layout: every truncation and every byte flip must
-// error, never panic — through both Read and the zero-copy view path.
-func TestV2TruncationAndFlips(t *testing.T) {
-	v2 := downgradeTo(t, encodeSnapshot(t, buildSnapshot(t)), 2)
-	if _, err := Read(bytes.NewReader(v2)); err != nil {
-		t.Fatalf("pristine v2 file must read: %v", err)
-	}
-	for n := 0; n < len(v2); n++ {
-		if _, err := Read(bytes.NewReader(v2[:n])); err == nil {
-			t.Fatalf("truncation to %d/%d bytes read successfully", n, len(v2))
-		}
-		if _, err := ViewBytes(alignedCopy(v2[:n])); err == nil {
-			t.Fatalf("truncation to %d/%d bytes viewed successfully", n, len(v2))
-		}
-	}
-	for i := range v2 {
-		bad := alignedCopy(v2)
-		bad[i] ^= 0xff
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Fatalf("flipping byte %d/%d still read successfully", i, len(v2))
-		}
-		if m, err := ViewBytes(bad); err == nil {
-			if _, err := m.Snapshot(); err == nil {
-				t.Fatalf("flipping byte %d/%d still decoded via the view", i, len(v2))
-			}
 		}
 	}
 }

@@ -41,14 +41,6 @@ type Result struct {
 	PrunedCalls int
 }
 
-// MaxCallDepth is a doc-deprecated alias marking where the removed
-// Options.MaxCallDepth knob used to live. The SCC wave scheduler memoizes
-// callee summaries bottom-up, so the analysis needs no depth bound; the
-// knob was a no-op for several releases and the field is now gone.
-//
-// Deprecated: the value was always ignored; stop passing a depth.
-const MaxCallDepth = 0
-
 // Options tunes the analysis.
 type Options struct {
 	// MaxIterations bounds the per-method dataflow iterations as a safety
