@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race check check-reltypes bench bench-path bench-build bench-incr bench-query bench-snap bench-serve serve-smoke
+.PHONY: build test vet fmt race check check-reltypes fuzz bench bench-path bench-build bench-incr bench-query bench-snap bench-serve serve-smoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,17 @@ check-reltypes:
 check: fmt check-reltypes
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
 	cd perfbench && $(GO) vet ./...
+
+# fuzz runs each native fuzz target for 10 s: the
+# mini-Java parser, the Cypher-lite dispatcher and both snapshot read
+# paths. Inputs may be rejected but must never panic or hang; a failing
+# input lands in the package's testdata/fuzz and then runs as a seed in
+# every `go test`. Kept out of `check` because it is time-boxed, not
+# deterministic.
+fuzz:
+	$(GO) test ./internal/javasrc -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
+	$(GO) test ./internal/cypher -run '^$$' -fuzz '^FuzzRunAny$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -20,13 +20,12 @@
 //	-snapshot FILE       snapshot to preload (opened at boot); repeatable
 //	-snapshot-dir DIR    register every snapshot file in DIR without
 //	                     opening it; each opens lazily — as a zero-copy
-//	                     mmap view for v3 snapshots — on first request
+//	                     mmap view — on first request
 //	-max-graphs N        LRU capacity for heap-resident graphs (default 8)
 //	-max-query-rows N    row cap per /v1/query response; responses cut off
 //	                     at the cap carry "truncated": true (default 10000)
 //	-workers N           default worker count for searches and analyses
-//	-analyze-workers N   /v1/analyze build pool size (default 1)
-//	-analyze-queue N     queued builds beyond the running ones before
+//	-analyze-queue N     queued builds beyond the running one before
 //	                     submissions get 429 (default 16)
 //	-resp-cache-bytes N  byte budget for the query/chains response cache
 //	                     (default 32 MiB; -1 disables it)
@@ -59,8 +58,7 @@ func main() {
 		maxGraphs      = flag.Int("max-graphs", server.DefaultMaxGraphs, "max heap-resident snapshots (LRU eviction beyond this; mmap-served graphs are exempt)")
 		maxRows        = flag.Int("max-query-rows", server.DefaultMaxQueryRows, "max rows per /v1/query response (excess is dropped and flagged truncated)")
 		workers        = flag.Int("workers", 0, "default worker count for searches/analyses (0 = GOMAXPROCS)")
-		analyzeWorkers = flag.Int("analyze-workers", server.DefaultAnalyzeWorkers, "builds running concurrently behind /v1/analyze")
-		analyzeQueue   = flag.Int("analyze-queue", server.DefaultAnalyzeQueue, "builds that may wait behind the running ones before /v1/analyze answers 429")
+		analyzeQueue   = flag.Int("analyze-queue", server.DefaultAnalyzeQueue, "builds that may wait behind the running one before /v1/analyze answers 429")
 		respCacheBytes = flag.Int64("resp-cache-bytes", server.DefaultRespCacheBytes, "byte budget for the query/chains response cache (-1 disables)")
 	)
 	flag.Var(&snapshots, "snapshot", "snapshot file written by `tabby -save` (repeatable)")
@@ -69,7 +67,6 @@ func main() {
 		MaxGraphs:      *maxGraphs,
 		MaxQueryRows:   *maxRows,
 		Workers:        *workers,
-		AnalyzeWorkers: *analyzeWorkers,
 		AnalyzeQueue:   *analyzeQueue,
 		RespCacheBytes: *respCacheBytes,
 	}

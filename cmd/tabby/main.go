@@ -219,7 +219,7 @@ func run(o options) error {
 		}
 		defer f.Close()
 		name, corpusDesc := snapshotIdentity(o)
-		if err := engine.SaveSnapshotWithCache(f, rep, name, corpusDesc, cache); err != nil {
+		if err := engine.SaveSnapshot(f, rep, name, corpusDesc); err != nil {
 			return fmt.Errorf("save snapshot: %w", err)
 		}
 		fmt.Printf("snapshot %q saved to %s (re-query with tabby-query -snapshot, or serve with tabby-server -snapshot)\n", name, o.save)

@@ -133,8 +133,8 @@ func TestOpenPrefersMmap(t *testing.T) {
 }
 
 // withVersion rewrites a current-format snapshot's header to version,
-// dropping the sections in drop — the layouts older and newer builds
-// wrote (v1 lacked "sumc" and "csr3", v2 lacked "csr3").
+// dropping the sections in drop — approximating the layouts older
+// builds wrote (v1 and v2 lacked "csr3").
 func withVersion(t *testing.T, data []byte, version uint16, drop ...string) []byte {
 	t.Helper()
 	const hdrLen = 8 + 2 // "TABBYSNP" + uint16 version
@@ -150,16 +150,16 @@ func withVersion(t *testing.T, data []byte, version uint16, drop ...string) []by
 	return out
 }
 
-// TestOnlyFormatV3Opens: snapshots are version 3 only. Every other
-// header version — the v1 and v2 layouts earlier builds wrote, and a
-// future v4 — fails with the same format error on every read path:
+// TestOnlyFormatV4Opens: snapshots are version 4 only. Every other
+// header version — the v1, v2 and v3 layouts earlier builds wrote, and
+// a future v5 — fails with the same format error on every read path:
 // the heap parse, the zero-copy view, and backend.Open.
-func TestOnlyFormatV3Opens(t *testing.T) {
+func TestOnlyFormatV4Opens(t *testing.T) {
 	current, err := os.ReadFile(writeSnapshotFile(t, testSnapshot(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(writeFile(t, "v3.tsnap", current)); err != nil {
+	if _, err := Open(writeFile(t, "v4.tsnap", current)); err != nil {
 		t.Fatalf("current format must open: %v", err)
 	}
 	const want = "unsupported snapshot format version"
@@ -167,9 +167,10 @@ func TestOnlyFormatV3Opens(t *testing.T) {
 		version uint16
 		drop    []string
 	}{
-		{1, []string{"sumc", "csr3"}},
+		{1, []string{"csr3"}},
 		{2, []string{"csr3"}},
-		{4, nil},
+		{3, nil},
+		{5, nil},
 	} {
 		data := withVersion(t, current, c.version, c.drop...)
 		_, readErr := store.Read(bytes.NewReader(data))

@@ -179,28 +179,18 @@ func (e *Engine) FindChains(g *cpg.Graph) (chains []pathfinder.Chain, truncated 
 // snapshot can be re-served later by LoadSnapshot, cmd/tabby-query
 // -snapshot, or cmd/tabby-server without recompiling the corpus.
 func (e *Engine) SaveSnapshot(w io.Writer, rep *Report, name, corpus string) error {
-	snap, err := e.snapshotFor(rep, name, corpus)
+	snap, err := e.SnapshotFor(rep, name, corpus)
 	if err != nil {
 		return err
 	}
 	return store.Write(w, snap)
 }
 
-// SaveSnapshotWithCache is SaveSnapshot plus the cache's exported method
-// summaries in the snapshot's "sumc" section, so a service loading it can
-// warm-start incremental re-analysis without recomputing any summary.
-func (e *Engine) SaveSnapshotWithCache(w io.Writer, rep *Report, name, corpus string, cache *AnalysisCache) error {
-	snap, err := e.snapshotFor(rep, name, corpus)
-	if err != nil {
-		return err
-	}
-	if cache != nil && cache.Summaries != nil {
-		snap.Summaries = cache.Summaries.Export()
-	}
-	return store.Write(w, snap)
-}
-
-func (e *Engine) snapshotFor(rep *Report, name, corpus string) (*store.Snapshot, error) {
+// SnapshotFor assembles the snapshot of a finished analysis: the graph,
+// the sink/source registry state the engine used (the defaults when the
+// options leave them unset), and the analysis counters. SaveSnapshot
+// encodes it; the server registers it directly.
+func (e *Engine) SnapshotFor(rep *Report, name, corpus string) (*store.Snapshot, error) {
 	if rep == nil || rep.Graph == nil {
 		return nil, fmt.Errorf("tabby: save snapshot: nil report")
 	}

@@ -181,10 +181,6 @@ func newBuilder(prog *jimple.Program, opts Options) *builder {
 		methodNode: make(map[java.MethodKey]graphdb.ID),
 		methodKey:  make(map[graphdb.ID]java.MethodKey),
 	}
-	g.DB.CreateIndex(LabelMethod, PropName)
-	g.DB.CreateIndex(LabelMethod, PropIsSink)
-	g.DB.CreateIndex(LabelMethod, PropIsSource)
-	g.DB.CreateIndex(LabelClass, PropName)
 	return &builder{g: g, opts: opts, batch: g.DB.NewBatch()}
 }
 

@@ -660,24 +660,21 @@ func RunAnyCursor(db *graphdb.DB, query string) (*Cursor, error) {
 }
 
 // RunAnyCursorSource is RunAnyCursor over an arbitrary Source. Plannable
-// MATCH queries execute against the source's compiled index without
-// touching the store; procedures, EXPLAIN, interpreter fallbacks, and
+// MATCH queries and EXPLAIN execute against the source's compiled index
+// without touching the store; procedures, interpreter fallbacks, and
 // plans with residual store reads materialize it via src.DB() (a full
 // snapshot parse on disk-resident sources), so every query shape still
 // answers — just not zero-copy.
 func RunAnyCursorSource(src Source, query string) (*Cursor, error) {
-	trimmed := strings.TrimSpace(query)
-	isCall := len(trimmed) >= 4 && strings.EqualFold(trimmed[:4], "CALL")
-	if _, isExplain := explainRest(query); isExplain || isCall {
+	if rest, isExplain := explainRest(query); isExplain {
+		return replay(runExplain(src, rest))
+	}
+	if trimmed := strings.TrimSpace(query); len(trimmed) >= 4 && strings.EqualFold(trimmed[:4], "CALL") {
 		db, err := src.DB()
 		if err != nil {
 			return nil, err
 		}
-		res, err := RunAny(db, query)
-		if err != nil {
-			return nil, err
-		}
-		return &Cursor{Columns: res.Columns, rows: res.Rows}, nil
+		return replay(RunProcedure(db, trimmed))
 	}
 	q, err := Parse(query)
 	if err != nil {
@@ -685,22 +682,14 @@ func RunAnyCursorSource(src Source, query string) (*Cursor, error) {
 	}
 	p, perr := PlanQuerySource(src, q)
 	if perr != nil {
-		db, derr := src.DB()
-		if derr != nil {
-			return nil, derr
+		db, err := src.DB()
+		if err != nil {
+			return nil, err
 		}
-		res, rerr := ExecuteGeneric(db, q)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return &Cursor{Columns: res.Columns, rows: res.Rows}, nil
+		return replay(ExecuteGeneric(db, q))
 	}
 	if p.hasCount || q.OrderBy >= 0 {
-		res, rerr := p.Run()
-		if rerr != nil {
-			return nil, rerr
-		}
-		return &Cursor{Columns: res.Columns, rows: res.Rows}, nil
+		return replay(p.Run())
 	}
 	c := &Cursor{p: p, mc: p.newCursor()}
 	for _, item := range q.Return {
@@ -710,4 +699,12 @@ func RunAnyCursorSource(src Source, query string) (*Cursor, error) {
 		c.seen = make(map[string]bool)
 	}
 	return c, nil
+}
+
+// replay wraps a materialized result as a cursor that replays its rows.
+func replay(res *Result, err error) (*Cursor, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Cursor{Columns: res.Columns, rows: res.Rows}, nil
 }

@@ -233,7 +233,9 @@ func TestCallProcedures(t *testing.T) {
 	db := buildTestGraph(t)
 	// The test graph's sink has no TRIGGER_CONDITION; add one.
 	sinkID := db.FindNodes("Method", "IS_SINK", true)[0]
-	if err := db.SetNodeProp(sinkID, "TRIGGER_CONDITION", []int{0}); err != nil {
+	batch := db.NewBatch()
+	batch.SetNodeProp(sinkID, "TRIGGER_CONDITION", []int{0})
+	if err := batch.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := RunAny(db, `CALL tabby.findGadgetChains(6)`)

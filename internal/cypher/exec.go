@@ -67,7 +67,7 @@ func writePadded(sb *strings.Builder, s string, width int) {
 // prefix prints the chosen plan (with cost estimates) instead of rows.
 func Run(db *graphdb.DB, query string) (*Result, error) {
 	if rest, ok := explainRest(query); ok {
-		return runExplain(db, rest)
+		return runExplain(DBSource(db), rest)
 	}
 	q, err := Parse(query)
 	if err != nil {
@@ -88,8 +88,9 @@ func explainRest(query string) (string, bool) {
 }
 
 // runExplain renders the plan the query would execute under, one line
-// per row, without running it.
-func runExplain(db *graphdb.DB, rest string) (*Result, error) {
+// per row, without running it. Planning reads only src's compiled index,
+// so EXPLAIN never materializes a disk-resident store.
+func runExplain(src Source, rest string) (*Result, error) {
 	res := &Result{Columns: []string{"plan"}}
 	trimmed := strings.TrimSpace(rest)
 	if len(trimmed) >= 4 && strings.EqualFold(trimmed[:4], "CALL") {
@@ -100,7 +101,7 @@ func runExplain(db *graphdb.DB, rest string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, perr := PlanQuery(db, q)
+	p, perr := PlanQuerySource(src, q)
 	if perr != nil {
 		msg := perr.Error()
 		if ce, ok := perr.(*Error); ok {
@@ -285,10 +286,10 @@ func (ex *executor) candidates(n NodePattern, b binding) []graphdb.ID {
 	if n.Label != "" {
 		for prop, val := range n.Props {
 			if ids := ex.db.FindNodes(n.Label, prop, val); ids != nil {
-				// The property index lists IDs in SetNodeProp history
-				// order; sort so candidate order (and thus row order)
-				// matches every other scan source — ascending — which
-				// is the order the plan runner is pinned to.
+				// FindNodes lists IDs in label-scan (creation) order,
+				// which concurrent batches can interleave; sort so
+				// candidate order (and thus row order) is ascending —
+				// the order the plan runner is pinned to.
 				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 				return ids
 			}

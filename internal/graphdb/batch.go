@@ -44,7 +44,6 @@ type Batch struct {
 	rels     []*Rel
 	local    map[ID]bool // node IDs created in this batch, pre-flush
 	relDels  []ID
-	nodeDels []ID
 	propSets []propSet
 }
 
@@ -120,15 +119,6 @@ func (b *Batch) DeleteRel(id ID) {
 	b.relDels = append(b.relDels, id)
 }
 
-// DeleteNode buffers the deletion of an existing node. The node's
-// relationships must all be buffered for deletion in the same batch (or
-// already gone), or Flush fails without applying anything.
-func (b *Batch) DeleteNode(id ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.nodeDels = append(b.nodeDels, id)
-}
-
 // SetNodeProp buffers a property update on an existing or batch-local
 // node. Updates apply after creations, in buffer order.
 func (b *Batch) SetNodeProp(node ID, key string, value any) {
@@ -141,23 +131,23 @@ func (b *Batch) SetNodeProp(node ID, key string, value any) {
 func (b *Batch) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.nodes) + len(b.rels) + len(b.relDels) + len(b.nodeDels) + len(b.propSets)
+	return len(b.nodes) + len(b.rels) + len(b.relDels) + len(b.propSets)
 }
 
 // Flush validates every buffered element and applies them all to the
-// store under one lock, maintaining the label and property indexes
+// store under one lock, maintaining the label lists and adjacency
 // exactly as the unbatched paths do. Application order is: relationship
-// deletions, node deletions, node creations, relationship creations,
-// property updates — so an incremental update can retire stale edges and
-// write their replacements atomically. On validation failure the store is
-// left untouched and the buffer kept, so the caller can inspect it. A
+// deletions, node creations, relationship creations, property updates —
+// so an incremental update can retire stale edges and write their
+// replacements atomically. On validation failure the store is left
+// untouched and the buffer kept, so the caller can inspect it. A
 // successful Flush empties the batch; the batch may then be reused. An
 // empty Flush is a no-op and does not bump the store's mutation version,
 // which keeps compiled views (searchindex) valid across no-change runs.
 func (b *Batch) Flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.nodes)+len(b.rels)+len(b.relDels)+len(b.nodeDels)+len(b.propSets) == 0 {
+	if len(b.nodes)+len(b.rels)+len(b.relDels)+len(b.propSets) == 0 {
 		return nil
 	}
 	db := b.db
@@ -165,36 +155,17 @@ func (b *Batch) Flush() error {
 	defer db.mu.Unlock()
 	db.mustMutateLocked("batch Flush")
 
-	relGone := make(map[ID]bool, len(b.relDels))
 	for _, id := range b.relDels {
 		if _, ok := db.rels[id]; !ok {
 			return fmt.Errorf("graphdb: batch delete of unknown rel %d", id)
 		}
-		relGone[id] = true
-	}
-	nodeGone := make(map[ID]bool, len(b.nodeDels))
-	for _, id := range b.nodeDels {
-		if _, ok := db.nodes[id]; !ok {
-			return fmt.Errorf("graphdb: batch delete of unknown node %d", id)
-		}
-		for _, rid := range db.out[id] {
-			if !relGone[rid] {
-				return fmt.Errorf("graphdb: batch delete of node %d: rel %d still attached", id, rid)
-			}
-		}
-		for _, rid := range db.in[id] {
-			if !relGone[rid] {
-				return fmt.Errorf("graphdb: batch delete of node %d: rel %d still attached", id, rid)
-			}
-		}
-		nodeGone[id] = true
 	}
 	endpointOK := func(id ID) bool {
 		if b.local[id] {
 			return true
 		}
 		_, ok := db.nodes[id]
-		return ok && !nodeGone[id]
+		return ok
 	}
 	for _, r := range b.rels {
 		if !endpointOK(r.Start) {
@@ -217,35 +188,10 @@ func (b *Batch) Flush() error {
 		db.out[r.Start] = removeID(db.out[r.Start], id)
 		db.in[r.End] = removeID(db.in[r.End], id)
 	}
-	for _, id := range b.nodeDels {
-		n := db.nodes[id]
-		delete(db.nodes, id)
-		delete(db.out, id)
-		delete(db.in, id)
-		for _, l := range n.Labels {
-			db.byLabel[l] = removeID(db.byLabel[l], id)
-			if byProp, ok := db.propIndex[l]; ok {
-				for prop, byVal := range byProp {
-					if v, ok := n.Props[prop]; ok {
-						k := valueKey(v)
-						byVal[k] = removeID(byVal[k], id)
-					}
-				}
-			}
-		}
-	}
 	for _, n := range b.nodes {
 		db.nodes[n.ID] = n
 		for _, l := range n.Labels {
 			db.byLabel[l] = append(db.byLabel[l], n.ID)
-			if byProp, ok := db.propIndex[l]; ok {
-				for prop, byVal := range byProp {
-					if v, ok := n.Props[prop]; ok {
-						k := valueKey(v)
-						byVal[k] = append(byVal[k], n.ID)
-					}
-				}
-			}
 		}
 	}
 	for _, r := range b.rels {
@@ -255,33 +201,25 @@ func (b *Batch) Flush() error {
 	}
 	for _, p := range b.propSets {
 		n := db.nodes[p.node]
-		old, had := n.Props[p.key]
 		if n.Props == nil {
 			n.Props = make(Props)
 		}
 		n.Props[p.key] = p.value
-		for _, l := range n.Labels {
-			byProp, ok := db.propIndex[l]
-			if !ok {
-				continue
-			}
-			byVal, ok := byProp[p.key]
-			if !ok {
-				continue
-			}
-			if had {
-				byVal[valueKey(old)] = removeID(byVal[valueKey(old)], p.node)
-			}
-			k := valueKey(p.value)
-			byVal[k] = append(byVal[k], p.node)
-		}
 	}
 
 	b.nodes = b.nodes[:0]
 	b.rels = b.rels[:0]
 	b.relDels = b.relDels[:0]
-	b.nodeDels = b.nodeDels[:0]
 	b.propSets = b.propSets[:0]
 	b.local = make(map[ID]bool)
 	return nil
+}
+
+func removeID(ids []ID, id ID) []ID {
+	for i, v := range ids {
+		if v == id {
+			return append(ids[:i], ids[i+1:]...)
+		}
+	}
+	return ids
 }

@@ -7,8 +7,6 @@ import (
 
 func TestBatchFlushMatchesDirectCreation(t *testing.T) {
 	db := New()
-	db.CreateIndex("Method", "NAME")
-
 	b := db.NewBatch()
 	n1 := b.CreateNode([]string{"Method"}, Props{"NAME": "a"})
 	n2 := b.CreateNode([]string{"Method"}, Props{"NAME": "b"})
@@ -35,7 +33,7 @@ func TestBatchFlushMatchesDirectCreation(t *testing.T) {
 		t.Fatalf("batched rel wrong: %+v", rel)
 	}
 	if ids := db.FindNodes("Method", "NAME", "b"); len(ids) != 1 || ids[0] != n2 {
-		t.Fatalf("index not maintained for batched node: %v", ids)
+		t.Fatalf("label list not maintained for batched node: %v", ids)
 	}
 	if ids := db.Rels(n1, DirOut, "CALL"); len(ids) != 1 || ids[0] != r {
 		t.Fatalf("adjacency not maintained: %v", ids)
@@ -65,17 +63,16 @@ func TestBatchRelToPreexistingNode(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Degree(old, DirIn, "E"); got != 1 {
-		t.Fatalf("Degree = %d, want 1", got)
+	if got := len(db.Rels(old, DirIn, "E")); got != 1 {
+		t.Fatalf("in-degree = %d, want 1", got)
 	}
 }
 
 // TestBatchDeltaOps exercises the incremental-update surface in one
-// flush: retire a node and its edges, lay down a replacement edge, and
-// update a property, with index maintenance and a single version bump.
+// flush: retire a node's edges, lay down a replacement edge, and update a
+// property, with a single version bump.
 func TestBatchDeltaOps(t *testing.T) {
 	db := New()
-	db.CreateIndex("Method", "NAME")
 	a := db.CreateNode([]string{"Method"}, Props{"NAME": "a"})
 	bn := db.CreateNode([]string{"Method"}, Props{"NAME": "b"})
 	c := db.CreateNode([]string{"Method"}, Props{"NAME": "c"})
@@ -92,7 +89,6 @@ func TestBatchDeltaOps(t *testing.T) {
 	batch := db.NewBatch()
 	batch.DeleteRel(ab)
 	batch.DeleteRel(bc)
-	batch.DeleteNode(bn)
 	batch.CreateRel("CALL", a, c, Props{"W": 2})
 	batch.SetNodeProp(a, "NAME", "a2")
 	if err := batch.Flush(); err != nil {
@@ -101,14 +97,17 @@ func TestBatchDeltaOps(t *testing.T) {
 	if got := db.Version(); got != before+1 {
 		t.Errorf("Version bumped %d times, want exactly 1", got-before)
 	}
-	if db.Node(bn) != nil || db.Rel(ab) != nil || db.Rel(bc) != nil {
-		t.Error("deleted elements still present after Flush")
+	if db.Rel(ab) != nil || db.Rel(bc) != nil {
+		t.Error("deleted rels still present after Flush")
 	}
-	if ids := db.FindNodes("Method", "NAME", "b"); len(ids) != 0 {
-		t.Errorf("index still lists deleted node: %v", ids)
+	if ids := db.Rels(bn, DirBoth); len(ids) != 0 {
+		t.Errorf("adjacency still lists deleted rels: %v", ids)
+	}
+	if ids := db.FindNodes("Method", "NAME", "a"); len(ids) != 0 {
+		t.Errorf("FindNodes matches the overwritten value: %v", ids)
 	}
 	if ids := db.FindNodes("Method", "NAME", "a2"); len(ids) != 1 || ids[0] != a {
-		t.Errorf("index not updated for SetNodeProp: %v", ids)
+		t.Errorf("FindNodes misses the SetNodeProp value: %v", ids)
 	}
 	if ids := db.Rels(a, DirOut, "CALL"); len(ids) != 1 {
 		t.Errorf("replacement edge missing: %v", ids)
@@ -129,8 +128,9 @@ func TestBatchEmptyFlushKeepsVersion(t *testing.T) {
 	}
 }
 
-// TestBatchDeleteValidation: deleting an unknown element, or a node with
-// a surviving edge, fails without applying anything.
+// TestBatchDeleteValidation: deleting an unknown relationship, or
+// setting a property on an unknown node, fails without applying
+// anything.
 func TestBatchDeleteValidation(t *testing.T) {
 	db := New()
 	a := db.CreateNode([]string{"X"}, nil)
@@ -147,11 +147,12 @@ func TestBatchDeleteValidation(t *testing.T) {
 	}
 
 	batch2 := db.NewBatch()
-	batch2.DeleteNode(a) // its edge is not buffered for deletion
+	batch2.CreateRel("E", bn, a, nil)
+	batch2.SetNodeProp(9999, "P", 1)
 	if err := batch2.Flush(); err == nil {
-		t.Fatal("Flush accepted node deletion with attached rel")
+		t.Fatal("Flush accepted a property on an unknown node")
 	}
-	if db.Node(a) == nil || db.Version() != before {
+	if len(db.Rels(a, DirIn)) != 0 || db.Version() != before {
 		t.Error("failed Flush mutated the store")
 	}
 }

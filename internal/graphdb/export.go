@@ -11,20 +11,12 @@ import (
 // binary codec on top of these hooks; keeping them here means the codec
 // never needs to reach into the store's internals.
 
-// IndexSpec names one label/property index.
-type IndexSpec struct {
-	Label string
-	Prop  string
-}
-
 // Export is the complete contents of a store in canonical order: nodes
-// and relationships ascending by ID, index specs sorted by label then
-// property. Nodes and Rels are snapshots — mutating them does not affect
-// the store they came from.
+// and relationships ascending by ID. Nodes and Rels are snapshots —
+// mutating them does not affect the store they came from.
 type Export struct {
-	Nodes   []*Node
-	Rels    []*Rel
-	Indexes []IndexSpec
+	Nodes []*Node
+	Rels  []*Rel
 }
 
 // Export dumps the store. The result is deterministic: two stores with
@@ -44,25 +36,14 @@ func (db *DB) Export() *Export {
 		ex.Rels = append(ex.Rels, &Rel{ID: r.ID, Type: r.Type, Start: r.Start, End: r.End, Props: r.Props.clone()})
 	}
 	sort.Slice(ex.Rels, func(i, j int) bool { return ex.Rels[i].ID < ex.Rels[j].ID })
-	for label, byProp := range db.propIndex {
-		for prop := range byProp {
-			ex.Indexes = append(ex.Indexes, IndexSpec{Label: label, Prop: prop})
-		}
-	}
-	sort.Slice(ex.Indexes, func(i, j int) bool {
-		if ex.Indexes[i].Label != ex.Indexes[j].Label {
-			return ex.Indexes[i].Label < ex.Indexes[j].Label
-		}
-		return ex.Indexes[i].Prop < ex.Indexes[j].Prop
-	})
 	return ex
 }
 
 // Import rebuilds a store from an export. Node and relationship IDs are
-// preserved, adjacency lists and label/index buckets are filled in
-// element-ID order — the same order a sequential batch fill produces — so
-// every query against the imported store returns results identical to the
-// original. The export's nodes and rels are copied, not aliased.
+// preserved, adjacency and label lists are filled in element-ID order —
+// the same order a sequential batch fill produces — so every query
+// against the imported store returns results identical to the original.
+// The export's nodes and rels are copied, not aliased.
 func Import(ex *Export) (*DB, error) {
 	db := New()
 	var maxID ID
@@ -107,16 +88,11 @@ func Import(ex *Export) (*DB, error) {
 		}
 	}
 	db.nextID = maxID
-	// CreateIndex walks byLabel, which is already in node-ID order, so the
-	// index buckets come out in ID order too.
-	for _, ix := range ex.Indexes {
-		db.CreateIndex(ix.Label, ix.Prop)
-	}
 	return db, nil
 }
 
 // Freeze makes the store immutable: any subsequent mutation
-// (CreateNode/CreateRel/SetNodeProp/CreateIndex or a batch Flush) panics.
+// (CreateNode/CreateRel or a batch Flush) panics.
 // Loaded snapshots are frozen so long-lived query services can serve them
 // from many goroutines with the guarantee that no handler mutates shared
 // state. Freezing is irreversible.

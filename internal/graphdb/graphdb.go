@@ -1,8 +1,11 @@
 // Package graphdb is an embedded, in-process property-graph database — the
 // reproduction's substitute for Neo4j (paper §II-B). It stores labeled
 // nodes and typed, directed relationships, both carrying property maps,
-// with label and property indexes and constant-time neighbourhood
-// expansion. Package cypher layers a query language on top; package
+// with label scans and constant-time neighbourhood expansion. It keeps no
+// property index: FindNodes is a label scan, and the request paths (chain
+// search, the query planner, /v1/chains) read the compiled search index
+// of package searchindex, built from this store once per mutation
+// version. Package cypher layers a query language on top; package
 // pathfinder implements the tabby-path-finder traversal plugin against it.
 //
 // The store is safe for concurrent use.
@@ -98,8 +101,6 @@ type DB struct {
 	out     map[ID][]ID // node -> outgoing rel IDs
 	in      map[ID][]ID // node -> incoming rel IDs
 	byLabel map[string][]ID
-	// propIndex[label][property][value-key] -> node IDs
-	propIndex map[string]map[string]map[string][]ID
 
 	// Compiled-view cache (see View). Guarded by viewMu, never by mu, so
 	// a build callback may freely read the store.
@@ -112,22 +113,21 @@ type DB struct {
 // New creates an empty database.
 func New() *DB {
 	return &DB{
-		nodes:     make(map[ID]*Node),
-		rels:      make(map[ID]*Rel),
-		out:       make(map[ID][]ID),
-		in:        make(map[ID][]ID),
-		byLabel:   make(map[string][]ID),
-		propIndex: make(map[string]map[string]map[string][]ID),
+		nodes:   make(map[ID]*Node),
+		rels:    make(map[ID]*Rel),
+		out:     make(map[ID][]ID),
+		in:      make(map[ID][]ID),
+		byLabel: make(map[string][]ID),
 	}
 }
 
-// valueKey renders a property value into an indexable string key. The
-// encoding is pinned to what fmt.Sprintf("%T:%v", v, v) produced when the
-// index format was introduced — TestValueKeyMatchesLegacyEncoding holds the
-// two equivalent — but the common cases are type-switched so the hot CPG
-// build path (every indexed node insert and every FindNodes lookup) avoids
-// reflection and interface formatting. The leading type name keeps keys
-// collision-free across types (int 1 vs string "1" vs bool-ish values).
+// valueKey renders a property value into a comparable string key; two
+// values are equal for FindNodes exactly when their keys are. The
+// encoding is pinned to fmt.Sprintf("%T:%v", v, v) —
+// TestValueKeyMatchesLegacyEncoding holds the two equivalent — but the
+// common cases are type-switched so a label scan avoids reflection and
+// interface formatting. The leading type name keeps keys collision-free
+// across types (int 1 vs string "1" vs bool-ish values).
 func valueKey(v any) string {
 	switch t := v.(type) {
 	case bool:
@@ -171,14 +171,6 @@ func (db *DB) CreateNode(labels []string, props Props) ID {
 	db.nodes[id] = n
 	for _, l := range n.Labels {
 		db.byLabel[l] = append(db.byLabel[l], id)
-		if byProp, ok := db.propIndex[l]; ok {
-			for prop, byVal := range byProp {
-				if v, ok := n.Props[prop]; ok {
-					k := valueKey(v)
-					byVal[k] = append(byVal[k], id)
-				}
-			}
-		}
 	}
 	return id
 }
@@ -237,143 +229,6 @@ func (db *DB) NodeProp(id ID, key string) (any, bool) {
 	return v, ok
 }
 
-// RelProp returns one property of a relationship.
-func (db *DB) RelProp(id ID, key string) (any, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	r := db.rels[id]
-	if r == nil {
-		return nil, false
-	}
-	v, ok := r.Props[key]
-	return v, ok
-}
-
-// SetNodeProp sets a property on a node, maintaining any index.
-func (db *DB) SetNodeProp(id ID, key string, value any) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.setNodePropLocked(id, key, value)
-}
-
-func removeID(ids []ID, id ID) []ID {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-// DeleteRel removes a relationship. Incremental CPG updates use this to
-// retire the CALL edges of a re-analyzed caller before re-creating them.
-func (db *DB) DeleteRel(id ID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteRelLocked(id)
-}
-
-func (db *DB) deleteRelLocked(id ID) error {
-	db.mustMutateLocked("DeleteRel")
-	r := db.rels[id]
-	if r == nil {
-		return fmt.Errorf("graphdb: delete unknown rel %d", id)
-	}
-	db.version++
-	delete(db.rels, id)
-	db.out[r.Start] = removeID(db.out[r.Start], id)
-	db.in[r.End] = removeID(db.in[r.End], id)
-	return nil
-}
-
-// DeleteNode removes a node, its label membership, and its index entries.
-// It refuses to orphan relationships: the caller must delete (or re-point)
-// every attached relationship first.
-func (db *DB) DeleteNode(id ID) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deleteNodeLocked(id)
-}
-
-func (db *DB) deleteNodeLocked(id ID) error {
-	db.mustMutateLocked("DeleteNode")
-	n := db.nodes[id]
-	if n == nil {
-		return fmt.Errorf("graphdb: delete unknown node %d", id)
-	}
-	if len(db.out[id]) > 0 || len(db.in[id]) > 0 {
-		return fmt.Errorf("graphdb: delete node %d: %d relationships still attached",
-			id, len(db.out[id])+len(db.in[id]))
-	}
-	db.version++
-	delete(db.nodes, id)
-	delete(db.out, id)
-	delete(db.in, id)
-	for _, l := range n.Labels {
-		db.byLabel[l] = removeID(db.byLabel[l], id)
-		if byProp, ok := db.propIndex[l]; ok {
-			for prop, byVal := range byProp {
-				if v, ok := n.Props[prop]; ok {
-					k := valueKey(v)
-					byVal[k] = removeID(byVal[k], id)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func (db *DB) setNodePropLocked(id ID, key string, value any) error {
-	db.mustMutateLocked("SetNodeProp")
-	n := db.nodes[id]
-	if n == nil {
-		return fmt.Errorf("graphdb: set prop on unknown node %d", id)
-	}
-	db.version++
-	old, had := n.Props[key]
-	if n.Props == nil {
-		n.Props = make(Props)
-	}
-	n.Props[key] = value
-	for _, l := range n.Labels {
-		byProp, ok := db.propIndex[l]
-		if !ok {
-			continue
-		}
-		byVal, ok := byProp[key]
-		if !ok {
-			continue
-		}
-		if had {
-			byVal[valueKey(old)] = removeID(byVal[valueKey(old)], id)
-		}
-		k := valueKey(value)
-		byVal[k] = append(byVal[k], id)
-	}
-	return nil
-}
-
-// CreateIndex builds (or rebuilds) an index on label/property.
-func (db *DB) CreateIndex(label, prop string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.mustMutateLocked("CreateIndex")
-	db.version++
-	byProp, ok := db.propIndex[label]
-	if !ok {
-		byProp = make(map[string]map[string][]ID)
-		db.propIndex[label] = byProp
-	}
-	byVal := make(map[string][]ID)
-	byProp[prop] = byVal
-	for _, id := range db.byLabel[label] {
-		if v, ok := db.nodes[id].Props[prop]; ok {
-			k := valueKey(v)
-			byVal[k] = append(byVal[k], id)
-		}
-	}
-}
-
 // NodesByLabel returns the IDs of all nodes carrying the label, in
 // creation order.
 func (db *DB) NodesByLabel(label string) []ID {
@@ -382,16 +237,13 @@ func (db *DB) NodesByLabel(label string) []ID {
 	return append([]ID(nil), db.byLabel[label]...)
 }
 
-// FindNodes returns nodes with the label whose property equals value,
-// using the index when present and scanning otherwise.
+// FindNodes returns nodes with the label whose property equals value
+// (under valueKey equality), in label-scan order: node creation order,
+// which is ascending ID order for any single batch fill and for every
+// imported snapshot.
 func (db *DB) FindNodes(label, prop string, value any) []ID {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if byProp, ok := db.propIndex[label]; ok {
-		if byVal, ok := byProp[prop]; ok {
-			return append([]ID(nil), byVal[valueKey(value)]...)
-		}
-	}
 	var out []ID
 	k := valueKey(value)
 	for _, id := range db.byLabel[label] {
@@ -400,20 +252,6 @@ func (db *DB) FindNodes(label, prop string, value any) []ID {
 		}
 	}
 	return out
-}
-
-// FindNode returns the single node with label/prop=value, erroring when
-// absent or ambiguous.
-func (db *DB) FindNode(label, prop string, value any) (ID, error) {
-	ids := db.FindNodes(label, prop, value)
-	switch len(ids) {
-	case 0:
-		return 0, fmt.Errorf("graphdb: no %s node with %s=%v", label, prop, value)
-	case 1:
-		return ids[0], nil
-	default:
-		return 0, fmt.Errorf("graphdb: %d %s nodes with %s=%v", len(ids), label, prop, value)
-	}
 }
 
 // Rels returns relationship IDs attached to the node in the given
@@ -444,30 +282,6 @@ func (db *DB) Rels(node ID, dir Dir, types ...string) []ID {
 		}
 	}
 	return out
-}
-
-// Neighbors returns the distinct nodes adjacent to node in the given
-// direction over the given relationship types.
-func (db *DB) Neighbors(node ID, dir Dir, types ...string) []ID {
-	rels := db.Rels(node, dir, types...)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	seen := make(map[ID]bool, len(rels))
-	var out []ID
-	for _, rid := range rels {
-		other := db.rels[rid].Other(node)
-		if !seen[other] {
-			seen[other] = true
-			out = append(out, other)
-		}
-	}
-	return out
-}
-
-// Degree returns the number of relationships attached to the node in the
-// given direction and types.
-func (db *DB) Degree(node ID, dir Dir, types ...string) int {
-	return len(db.Rels(node, dir, types...))
 }
 
 // Stats summarizes store contents; used by the Table VIII experiment to

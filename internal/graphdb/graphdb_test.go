@@ -63,17 +63,17 @@ func TestAdjacency(t *testing.T) {
 	mustRel(t, db, "CALL", c, b)
 	mustRel(t, db, "ALIAS", b, c)
 
-	if got := db.Neighbors(b, DirIn, "CALL"); len(got) != 2 {
-		t.Errorf("Neighbors(b, in, CALL) = %v", got)
+	if got := db.Rels(b, DirIn, "CALL"); len(got) != 2 {
+		t.Errorf("Rels(b, in, CALL) = %v", got)
 	}
-	if got := db.Neighbors(b, DirOut, "ALIAS"); len(got) != 1 || got[0] != c {
-		t.Errorf("Neighbors(b, out, ALIAS) = %v", got)
+	if got := db.Rels(b, DirOut, "ALIAS"); len(got) != 1 || db.Rel(got[0]).End != c {
+		t.Errorf("Rels(b, out, ALIAS) = %v", got)
 	}
-	if got := db.Neighbors(b, DirBoth); len(got) != 2 { // a and c (c deduped)
-		t.Errorf("Neighbors(b, both) = %v", got)
+	if got := db.Rels(b, DirBoth); len(got) != 3 {
+		t.Errorf("Rels(b, both) = %v", got)
 	}
-	if db.Degree(b, DirIn, "CALL") != 2 || db.Degree(b, DirOut) != 1 {
-		t.Error("Degree misbehaves")
+	if got := db.Rels(b, DirBoth, "CALL", "ALIAS"); len(got) != 3 {
+		t.Errorf("Rels(b, both, CALL|ALIAS) = %v", got)
 	}
 	if got := db.Rels(a, DirOut, "NOPE"); len(got) != 0 {
 		t.Errorf("type filter failed: %v", got)
@@ -89,51 +89,37 @@ func mustRel(t *testing.T, db *DB, typ string, from, to ID) ID {
 	return id
 }
 
-func TestFindNodesIndexedAndScan(t *testing.T) {
+// TestFindNodesLabelScan pins FindNodes' contract: label-scan order
+// (creation order), valueKey equality (typed: int 1 is not string "1"),
+// and nil for an unknown label, property or value.
+func TestFindNodesLabelScan(t *testing.T) {
 	db := New()
+	var m1 []ID
 	for i := 0; i < 10; i++ {
-		db.CreateNode([]string{"Method"}, Props{"NAME": fmt.Sprintf("m%d", i%3)})
+		id := db.CreateNode([]string{"Method"}, Props{"NAME": fmt.Sprintf("m%d", i%3), "N": i % 2})
+		if i%3 == 1 {
+			m1 = append(m1, id)
+		}
 	}
-	// Scan path.
-	if got := db.FindNodes("Method", "NAME", "m1"); len(got) != 3 {
-		t.Errorf("scan FindNodes = %d nodes", len(got))
+	db.CreateNode([]string{"Class"}, Props{"NAME": "m1"})
+	if got := db.FindNodes("Method", "NAME", "m1"); !reflect.DeepEqual(got, m1) {
+		t.Errorf("FindNodes(NAME=m1) = %v, want %v", got, m1)
 	}
-	// Index path must agree.
-	db.CreateIndex("Method", "NAME")
-	if got := db.FindNodes("Method", "NAME", "m1"); len(got) != 3 {
-		t.Errorf("indexed FindNodes = %d nodes", len(got))
+	if got := db.FindNodes("Method", "N", 1); len(got) != 5 {
+		t.Errorf("FindNodes(N=1) = %d nodes, want 5", len(got))
 	}
-	// Nodes created after the index exists must be indexed on create.
-	db.CreateNode([]string{"Method"}, Props{"NAME": "m1"})
-	if got := db.FindNodes("Method", "NAME", "m1"); len(got) != 4 {
-		t.Errorf("post-index create not indexed: %d", len(got))
-	}
-	// SetNodeProp must maintain the index.
-	id := db.FindNodes("Method", "NAME", "m2")[0]
-	if err := db.SetNodeProp(id, "NAME", "renamed"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.FindNodes("Method", "NAME", "renamed"); len(got) != 1 || got[0] != id {
-		t.Errorf("index not updated on SetNodeProp: %v", got)
-	}
-	if got := db.FindNodes("Method", "NAME", "m2"); len(got) != 2 {
-		t.Errorf("stale index entry after rename: %v", got)
-	}
-}
-
-func TestFindNode(t *testing.T) {
-	db := New()
-	db.CreateNode([]string{"C"}, Props{"NAME": "x"})
-	db.CreateNode([]string{"C"}, Props{"NAME": "dup"})
-	db.CreateNode([]string{"C"}, Props{"NAME": "dup"})
-	if _, err := db.FindNode("C", "NAME", "x"); err != nil {
-		t.Errorf("unique lookup failed: %v", err)
-	}
-	if _, err := db.FindNode("C", "NAME", "dup"); err == nil {
-		t.Error("ambiguous lookup must fail")
-	}
-	if _, err := db.FindNode("C", "NAME", "ghost"); err == nil {
-		t.Error("missing lookup must fail")
+	for _, c := range []struct {
+		label, prop string
+		value       any
+	}{
+		{"Method", "N", "1"},
+		{"Method", "NAME", "ghost"},
+		{"Method", "MISSING", "m1"},
+		{"Nope", "NAME", "m1"},
+	} {
+		if got := db.FindNodes(c.label, c.prop, c.value); got != nil {
+			t.Errorf("FindNodes(%s, %s, %#v) = %v, want nil", c.label, c.prop, c.value, got)
+		}
 	}
 }
 
@@ -150,11 +136,15 @@ func TestStats(t *testing.T) {
 
 func TestSetNodePropErrors(t *testing.T) {
 	db := New()
-	if err := db.SetNodeProp(5, "X", 1); err == nil {
+	b := db.NewBatch()
+	b.SetNodeProp(5, "X", 1)
+	if err := b.Flush(); err == nil {
 		t.Error("setting prop on unknown node must fail")
 	}
 	id := db.CreateNode([]string{"N"}, nil)
-	if err := db.SetNodeProp(id, "X", 1); err != nil {
+	b = db.NewBatch()
+	b.SetNodeProp(id, "X", 1)
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := db.NodeProp(id, "X"); !ok || v != 1 {
@@ -182,13 +172,13 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Errorf("CreateRel: %v", err)
 					return
 				}
-				db.Neighbors(seed, DirIn, "CALL")
+				db.Rels(seed, DirIn, "CALL")
 				db.Stats()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := db.Degree(seed, DirIn, "CALL"); got != 800 {
-		t.Errorf("Degree = %d, want 800", got)
+	if got := len(db.Rels(seed, DirIn, "CALL")); got != 800 {
+		t.Errorf("in-degree = %d, want 800", got)
 	}
 }

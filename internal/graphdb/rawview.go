@@ -11,9 +11,9 @@ import "sort"
 // same DB (engine, snapshot server, Cypher-lite procedures) shares it.
 
 // Version returns the store's mutation counter. It increments on every
-// content change (node/rel creation, property set, index build, batch
-// flush), so two calls returning the same value bracket a window in which
-// the store's contents did not change. Frozen stores never change version.
+// content change (node/rel creation, batch flush), so two calls
+// returning the same value bracket a window in which the store's
+// contents did not change. Frozen stores never change version.
 func (db *DB) Version() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -8,8 +8,7 @@ import (
 
 // legacyValueKey is the encoder valueKey replaced; the type-switched
 // version must stay byte-identical for every property type the CPG uses,
-// or persisted index expectations (and FindNodes results on mixed-age
-// code) would silently diverge.
+// or FindNodes equality would silently change.
 func legacyValueKey(v any) string { return fmt.Sprintf("%T:%v", v, v) }
 
 func TestValueKeyMatchesLegacyEncoding(t *testing.T) {
@@ -37,7 +36,7 @@ func TestValueKeyMatchesLegacyEncoding(t *testing.T) {
 
 func TestValueKeyCollisionFree(t *testing.T) {
 	// Distinct values across the supported set must produce distinct keys;
-	// a collision would merge property-index buckets.
+	// a collision would make FindNodes match unequal values.
 	values := []any{
 		true, false, 0, 1, -1, "", "1", "true", "[1 2]", 1.0, 0.5,
 		[]int{}, []int{1}, []int{1, 2}, []int{12}, "int:1",

@@ -172,7 +172,9 @@ func TestForCachesUntilMutation(t *testing.T) {
 		t.Fatalf("builds = %d, want %d", Builds(), before+1)
 	}
 	// A mutation invalidates the cached view.
-	if err := db.SetNodeProp(ids["mid"], cpg.PropIsSource, true); err != nil {
+	batch := db.NewBatch()
+	batch.SetNodeProp(ids["mid"], cpg.PropIsSource, true)
+	if err := batch.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	ix3 := For(db)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -151,5 +152,57 @@ func TestBackendsAnswerIdenticallyOnCorpus(t *testing.T) {
 				mmapTS.Close()
 			}
 		})
+	}
+}
+
+// TestExplainStaysOnIndex: EXPLAIN plans from the compiled index alone,
+// so every form of it — a planned MATCH, an interpreter fallback and a
+// procedure call — answers over an mmap view without parsing the
+// snapshot, byte-identical to the heap backend.
+func TestExplainStaysOnIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rt.tsnap")
+	if err := store.WriteFile(path, rtSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	memSrv := New(Options{Workers: 1})
+	t.Cleanup(memSrv.Close)
+	snap, err := store.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memSrv.Registry().Add("rt", snap); err != nil {
+		t.Fatal(err)
+	}
+	mmapSrv := New(Options{Workers: 1})
+	t.Cleanup(mmapSrv.Close)
+	if _, err := mmapSrv.LoadSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	memTS := httptest.NewServer(memSrv.Handler())
+	defer memTS.Close()
+	mmapTS := httptest.NewServer(mmapSrv.Handler())
+	defer mmapTS.Close()
+
+	for query, want := range map[string]string{
+		`EXPLAIN MATCH (a:Method)-[:CALL]->(b:Method) WHERE b.IS_SINK = true RETURN a.NAME, b.NAME`: "plan: indexed",
+		`EXPLAIN MATCH (a:Method)-[:CALL*1..2]->(b:Method {IS_SINK: true}) RETURN b.NAME`:           "plan: interpreter —",
+		`EXPLAIN CALL tabby.sinks()`: "plan: procedure call",
+	} {
+		req := map[string]any{"graph": "rt", "query": query}
+		memCode, memBody := postJSON(t, memTS.URL+"/v1/query", req)
+		mmapCode, mmapBody := postJSON(t, mmapTS.URL+"/v1/query", req)
+		if memCode != http.StatusOK || mmapCode != memCode || !bytes.Equal(memBody, mmapBody) {
+			t.Errorf("%q diverged:\nmem  %d: %s\nmmap %d: %s", query, memCode, memBody, mmapCode, mmapBody)
+		}
+		if !bytes.Contains(mmapBody, []byte(want)) {
+			t.Errorf("%q: plan %s lacks %q", query, mmapBody, want)
+		}
+	}
+	be, err := mmapSrv.Registry().Get("rt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if searchindex.LayoutSupported() && (be.Kind() != backend.KindMmap || be.Loaded()) {
+		t.Errorf("after EXPLAIN: backend %q loaded=%v, want an unloaded %q view", be.Kind(), be.Loaded(), backend.KindMmap)
 	}
 }

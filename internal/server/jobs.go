@@ -8,8 +8,6 @@ import (
 	"tabby/internal/core"
 	"tabby/internal/cpg"
 	"tabby/internal/javasrc"
-	"tabby/internal/sinks"
-	"tabby/internal/store"
 )
 
 // jobStatus is the lifecycle of one analyze job:
@@ -47,7 +45,6 @@ type job struct {
 	// build inputs, set at submit time and read only by the worker
 	engine   *core.Engine
 	archives []javasrc.ArchiveSource
-	sources  sinks.SourceConfig
 	files    int
 }
 
@@ -62,8 +59,8 @@ type result struct {
 	stats   cpg.Stats
 }
 
-// jobManager runs /v1/analyze builds on a bounded worker pool behind a
-// bounded queue, coalescing concurrent identical submissions
+// jobManager runs /v1/analyze builds on one worker behind a bounded
+// queue, coalescing concurrent identical submissions
 // (singleflight) and resolving repeat uploads from the fingerprint-
 // keyed result cache. Heavy compiles therefore never run on a request
 // goroutine: submission is O(hash corpus), and the query endpoints
@@ -79,7 +76,6 @@ type jobManager struct {
 	finished []string          // terminal job ids, oldest first (pruning)
 	queue    chan *job
 	queueCap int
-	workers  int
 	seq      int
 	closed   bool
 
@@ -97,13 +93,8 @@ type jobManager struct {
 }
 
 const (
-	// DefaultAnalyzeWorkers is the build pool size when
-	// Options.AnalyzeWorkers is zero. One worker matches the old
-	// serialized behavior: builds are CPU-bound and share the analysis
-	// cache, so more workers mostly add contention.
-	DefaultAnalyzeWorkers = 1
 	// DefaultAnalyzeQueue bounds how many submitted builds may wait
-	// behind the running ones before submissions are rejected with 429.
+	// behind the running one before submissions are rejected with 429.
 	DefaultAnalyzeQueue = 16
 	// maxJobRecords bounds how many terminal job records are kept for
 	// polling; older ones are forgotten first. The result cache is
@@ -111,10 +102,7 @@ const (
 	maxJobRecords = 512
 )
 
-func newJobManager(workers, queueCap int) *jobManager {
-	if workers <= 0 {
-		workers = DefaultAnalyzeWorkers
-	}
+func newJobManager(queueCap int) *jobManager {
 	if queueCap <= 0 {
 		queueCap = DefaultAnalyzeQueue
 	}
@@ -126,7 +114,6 @@ func newJobManager(workers, queueCap int) *jobManager {
 		graphFP:  make(map[string]string),
 		queue:    make(chan *job, queueCap),
 		queueCap: queueCap,
-		workers:  workers,
 	}
 }
 
@@ -143,7 +130,7 @@ func (e *submitErr) Error() string { return e.msg }
 // already-done job synthesized from the result cache. reg decides
 // name conflicts and whether a cached result's graph is still
 // servable.
-func (m *jobManager) submit(reg *Registry, name, fp string, eng *core.Engine, archives []javasrc.ArchiveSource, sources sinks.SourceConfig, files int) (*job, error) {
+func (m *jobManager) submit(reg *Registry, name, fp string, eng *core.Engine, archives []javasrc.ArchiveSource, files int) (*job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -185,7 +172,6 @@ func (m *jobManager) submit(reg *Registry, name, fp string, eng *core.Engine, ar
 	j.status = jobQueued
 	j.engine = eng
 	j.archives = archives
-	j.sources = sources
 	j.files = files
 	select {
 	case m.queue <- j:
@@ -252,7 +238,7 @@ func (m *jobManager) invalidateGraph(graphID string) {
 	}
 }
 
-// close stops accepting submissions and lets the workers drain.
+// close stops accepting submissions and lets the worker drain.
 func (m *jobManager) close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -262,11 +248,11 @@ func (m *jobManager) close() {
 	}
 }
 
-// run is one pool worker: it owns at most one build at a time and
-// always survives it. A panicking build — corrupt input tripping an
-// invariant, an out-of-bounds bug — is confined to the job, which
-// fails with the panic message; the worker keeps serving the queue, so
-// a poisoned upload can never wedge the analyze path (the old
+// runAnalyzeWorker is the build worker: it owns at most one build at a
+// time and always survives it. A panicking build — corrupt input
+// tripping an invariant, an out-of-bounds bug — is confined to the job,
+// which fails with the panic message; the worker keeps serving the
+// queue, so a poisoned upload can never wedge the analyze path (the old
 // channel-token design leaked its only slot on panic).
 func (s *Server) runAnalyzeWorker() {
 	for j := range s.jobs.queue {
@@ -307,20 +293,10 @@ func (s *Server) runJob(j *job) {
 	}
 
 	rep.Graph.DB.Freeze()
-	snap := &store.Snapshot{
-		Meta: store.Meta{
-			Name:        j.name,
-			Corpus:      fmt.Sprintf("uploaded corpus (%d files)", j.files),
-			Stats:       rep.Graph.Stats,
-			TotalCalls:  rep.Graph.Taint.TotalCalls,
-			PrunedCalls: rep.Graph.Taint.PrunedCalls,
-		},
-		DB:      rep.Graph.DB,
-		Sinks:   sinks.Default(),
-		Sources: j.sources,
-	}
-	if len(snap.Sources.MethodNames) == 0 {
-		snap.Sources = sinks.DefaultSources()
+	snap, err := j.engine.SnapshotFor(rep, j.name, fmt.Sprintf("uploaded corpus (%d files)", j.files))
+	if err != nil {
+		s.failJob(j, err.Error())
+		return
 	}
 	evicted, err := s.reg.Add(j.name, snap)
 	if err != nil {
@@ -400,7 +376,7 @@ func (m *jobManager) statsJSON() jobStatsJSON {
 		Rejected:   m.rejected,
 		QueueDepth: len(m.queue),
 		QueueCap:   m.queueCap,
-		Workers:    m.workers,
+		Workers:    1, // one worker: builds serialize on the shared analysis cache
 	}
 }
 

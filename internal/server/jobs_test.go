@@ -227,11 +227,11 @@ func TestConcurrentIdenticalAnalyzesBuildOnce(t *testing.T) {
 }
 
 // TestAnalyzeQueueOverflow pins the 429 backpressure contract: with
-// one worker stalled and a one-slot queue, a third distinct build is
+// the build worker stalled and a one-slot queue, a third distinct build is
 // rejected, and the rejection is counted.
 func TestAnalyzeQueueOverflow(t *testing.T) {
 	release := make(chan struct{})
-	_, ts := stallServer(t, Options{Workers: 1, AnalyzeWorkers: 1, AnalyzeQueue: 1}, release)
+	_, ts := stallServer(t, Options{Workers: 1, AnalyzeQueue: 1}, release)
 	defer close(release)
 
 	code, body := postJSON(t, ts.URL+"/v1/analyze", analyzeReq("q1", false))

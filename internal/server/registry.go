@@ -146,7 +146,7 @@ func (r *Registry) Get(id string) (backend.Backend, error) {
 	}
 	if e.be == nil {
 		// Opening under the lock serializes concurrent first requests for
-		// the same graph; the common (v3) open is a validation pass over an
+		// the same graph; the common open is a validation pass over an
 		// mmap, milliseconds even on the largest corpora.
 		be, err := backend.Open(e.path)
 		if err != nil {

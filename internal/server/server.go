@@ -14,8 +14,8 @@
 //	GET  /v1/jobs/{id}              poll one analyze job
 //	GET  /v1/stats                  job-queue and cache counters
 //
-// Builds are asynchronous: /v1/analyze enqueues the corpus on a
-// bounded worker pool and answers 202 with a job id (429 when the
+// Builds are asynchronous: /v1/analyze enqueues the corpus for the
+// build worker and answers 202 with a job id (429 when the
 // queue is full), so a heavy compile never blocks the query path.
 // Concurrent identical submissions coalesce into one build
 // (singleflight), and repeat uploads resolve instantly from a result
@@ -76,11 +76,8 @@ type Options struct {
 	// queries producing more are cut off and the response marked
 	// truncated. Zero means DefaultMaxQueryRows.
 	MaxQueryRows int
-	// AnalyzeWorkers sizes the build pool behind /v1/analyze; zero means
-	// DefaultAnalyzeWorkers.
-	AnalyzeWorkers int
 	// AnalyzeQueue bounds how many submitted builds may wait behind the
-	// running ones; beyond it submissions get 429. Zero means
+	// running one; beyond it submissions get 429. Zero means
 	// DefaultAnalyzeQueue.
 	AnalyzeQueue int
 	// RespCacheBytes is the byte budget for the /v1/query + /v1/chains
@@ -117,8 +114,8 @@ type Server struct {
 }
 
 // New creates a server with an empty registry and starts its analyze
-// worker pool. Call Close to stop the pool when the server is
-// discarded before process exit (tests, benchmarks).
+// worker. Call Close to stop the worker when the server is discarded
+// before process exit (tests, benchmarks).
 func New(opts Options) *Server {
 	if opts.MaxRequestBytes <= 0 {
 		opts.MaxRequestBytes = defaultMaxRequestBytes
@@ -134,7 +131,7 @@ func New(opts Options) *Server {
 		workers: opts.Workers,
 		maxBody: opts.MaxRequestBytes,
 		maxRows: opts.MaxQueryRows,
-		jobs:    newJobManager(opts.AnalyzeWorkers, opts.AnalyzeQueue),
+		jobs:    newJobManager(opts.AnalyzeQueue),
 		resp:    newRespCache(opts.RespCacheBytes),
 		cache:   core.NewAnalysisCache(),
 	}
@@ -146,13 +143,11 @@ func New(opts Options) *Server {
 		s.resp.invalidate(id)
 		s.jobs.invalidateGraph(id)
 	})
-	for i := 0; i < s.jobs.workers; i++ {
-		go s.runAnalyzeWorker()
-	}
+	go s.runAnalyzeWorker()
 	return s
 }
 
-// Close stops the analyze worker pool after draining queued builds.
+// Close stops the analyze worker after draining queued builds.
 // Serving may continue; further /v1/analyze submissions get 503.
 func (s *Server) Close() {
 	s.closeOnce.Do(s.jobs.close)
@@ -686,7 +681,7 @@ type analyzeRequest struct {
 	MaxDepth  int    `json:"max_depth"`
 	// Wait blocks the request until the job is terminal and answers 200
 	// with the final job state — the synchronous convenience wrapper
-	// over the async queue (the build still runs on the worker pool, so
+	// over the async queue (the build still runs on the build worker, so
 	// it never blocks other requests).
 	Wait bool `json:"wait"`
 }
@@ -745,10 +740,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Submission costs one content hash of the corpus, never a build:
 	// identical in-flight submissions coalesce into the running job, a
 	// corpus already built and still registered resolves from the result
-	// cache, and everything else queues for the worker pool — or is
+	// cache, and everything else queues for the build worker — or is
 	// pushed back with 429 when the queue is full.
 	fp := engine.ResultFingerprint(archives)
-	j, err := s.jobs.submit(s.reg, req.Name, fp, engine, archives, sources, len(req.Files))
+	j, err := s.jobs.submit(s.reg, req.Name, fp, engine, archives, len(req.Files))
 	if err != nil {
 		var se *submitErr
 		if errors.As(err, &se) {

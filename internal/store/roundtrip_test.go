@@ -16,12 +16,13 @@ import (
 	"tabby/internal/core"
 	"tabby/internal/corpus"
 	"tabby/internal/cypher"
+	"tabby/internal/graphdb"
 	"tabby/internal/javasrc"
 	"tabby/internal/store"
 )
 
 // probeQueries is the query battery compared between fresh and loaded
-// graphs; it touches label scans, index lookups, property filters,
+// graphs; it touches label scans, FindNodes lookups, property filters,
 // variable-length path expansion, aggregation, and the CALL procedures.
 var probeQueries = []string{
 	`MATCH (m:Method {IS_SINK: true}) RETURN m.NAME, m.SINK_TYPE`,
@@ -67,8 +68,8 @@ func roundTrip(t *testing.T, name string, archives []javasrc.ArchiveSource) {
 		t.Fatal(err)
 	}
 
-	// 1. Graph-level equality: the loaded store exports the same nodes,
-	//    rels, and index specs as the fresh one.
+	// 1. Graph-level equality: the loaded store exports the same nodes
+	//    and rels as the fresh one.
 	if !reflect.DeepEqual(snap.DB.Export(), rep.Graph.DB.Export()) {
 		t.Fatal("loaded graph export differs from fresh build")
 	}
@@ -112,6 +113,27 @@ func roundTrip(t *testing.T, name string, archives []javasrc.ArchiveSource) {
 	if rep.Graph.Taint != nil && snap.Meta.TotalCalls != rep.Graph.Taint.TotalCalls {
 		t.Errorf("meta total calls = %d, want %d", snap.Meta.TotalCalls, rep.Graph.Taint.TotalCalls)
 	}
+
+	// 5. Lookups: FindNodes, a label scan, returns the same ID list in the
+	//    same (ascending) order as a brute-force filter over AllNodeIDs,
+	//    on the fresh graph and on the loaded one.
+	for _, g := range []struct {
+		name string
+		db   *graphdb.DB
+	}{{"fresh", rep.Graph.DB}, {"loaded", snap.DB}} {
+		for _, p := range findProbes(g.db) {
+			var want []graphdb.ID
+			for _, id := range g.db.AllNodeIDs() {
+				n := g.db.Node(id)
+				if v, ok := n.Props[p.prop]; ok && n.HasLabel(p.label) && v == p.value {
+					want = append(want, id)
+				}
+			}
+			if got := g.db.FindNodes(p.label, p.prop, p.value); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: FindNodes(%s, %s, %#v) = %v, want %v", g.name, p.label, p.prop, p.value, got, want)
+			}
+		}
+	}
 }
 
 // TestRoundTripURLDNS always runs: the modeled runtime alone is the
@@ -139,4 +161,28 @@ func TestRoundTripAllComponents(t *testing.T) {
 	t.Run("scene/Spring", func(t *testing.T) {
 		roundTrip(t, "Spring", append([]javasrc.ArchiveSource{corpus.RT()}, spring.Archives...))
 	})
+}
+
+type findProbe struct {
+	label, prop string
+	value       any
+}
+
+// findProbes samples the lookups to check: both flag values of Method
+// IS_SINK and IS_SOURCE, every 25th Method and Class NAME, and a NAME no
+// node carries.
+func findProbes(db *graphdb.DB) []findProbe {
+	probes := []findProbe{
+		{"Method", "IS_SINK", true}, {"Method", "IS_SINK", false},
+		{"Method", "IS_SOURCE", true}, {"Method", "IS_SOURCE", false},
+		{"Method", "NAME", "no.such.Klass#nope()"},
+	}
+	for _, label := range []string{"Method", "Class"} {
+		for i, id := range db.NodesByLabel(label) {
+			if v, ok := db.NodeProp(id, "NAME"); ok && i%25 == 0 {
+				probes = append(probes, findProbe{label, "NAME", v})
+			}
+		}
+	}
+	return probes
 }

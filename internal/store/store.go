@@ -1,21 +1,22 @@
 // Package store is the persistent snapshot codec for built code property
 // graphs: the "store once, query many times" substrate of the paper's
 // workflow (§II-B, RQ4). A snapshot is one self-contained binary file
-// holding the full graph (nodes, labels, relationships, properties,
-// index specs), the sink/source registry state the graph was built with,
-// and analysis metadata (graph statistics, pruned-call counters).
+// holding the full graph (nodes, labels, relationships, properties), the
+// compiled search index, the sink/source registry state the graph was
+// built with, and analysis metadata (graph statistics, pruned-call
+// counters).
 //
 // On-disk layout:
 //
 //	8-byte magic "TABBYSNP" | uint16 LE format version
-//	section*                 (fixed order: meta sink srcs strs node rels indx sumc csr3 fini)
+//	section*                 (fixed order: meta sink srcs strs node rels csr3 fini)
 //
 // where each section is framed as
 //
 //	4-byte tag | uint32 LE payload length | payload | uint32 LE CRC-32 (IEEE) of payload
 //
 // and "fini" is an empty terminal section, so truncation anywhere is
-// detectable. Strings inside the node/rels/indx payloads are interned
+// detectable. Strings inside the node/rels payloads are interned
 // into the shared "strs" table; payload integers are varint-encoded.
 // Loading verifies the magic, version, section order, and every
 // checksum, and returns errors — never panics — on corrupt input. The
@@ -37,17 +38,16 @@ import (
 	"tabby/internal/cpg"
 	"tabby/internal/graphdb"
 	"tabby/internal/sinks"
-	"tabby/internal/taint"
 )
 
 // FormatVersion is the snapshot format this build writes and the only
-// one it reads. Its "sumc" section carries the persisted method-summary
-// cache and its "csr3" section the compiled search index, laid out as
-// aligned little-endian arrays an mmap-backed server views in place
-// (package backend) while heap loaders simply CRC-check and skip it.
-// Readers reject every other version with a clear error; rewrite older
-// snapshots by re-running the analysis with `tabby -save`.
-const FormatVersion = 3
+// one it reads. Its "csr3" section carries the compiled search index,
+// laid out as aligned little-endian arrays an mmap-backed server views
+// in place (package backend) while heap loaders simply CRC-check and
+// skip it; the store carries no other index. Readers reject every other
+// version with a clear error; rewrite older snapshots by re-running the
+// analysis with `tabby -save`.
+const FormatVersion = 4
 
 const (
 	magic          = "TABBYSNP"
@@ -59,7 +59,7 @@ const (
 
 // sectionOrder is the fixed section order. A snapshot must contain
 // exactly these sections, in this order.
-var sectionOrder = []string{"meta", "sink", "srcs", "strs", "node", "rels", "indx", "sumc", "csr3", "fini"}
+var sectionOrder = []string{"meta", "sink", "srcs", "strs", "node", "rels", "csr3", "fini"}
 
 // Property value type tags.
 const (
@@ -94,10 +94,6 @@ type Snapshot struct {
 	DB      *graphdb.DB
 	Sinks   *sinks.Registry
 	Sources sinks.SourceConfig
-	// Summaries is the exported method-summary cache of the analysis, so a
-	// service loading the snapshot can warm-start incremental re-analysis.
-	// Optional: empty on saves without a cache.
-	Summaries []taint.ConeEntry
 }
 
 // --- writing -------------------------------------------------------------
@@ -121,8 +117,6 @@ func Write(w io.Writer, snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	indxPay := encodeIndexes(ex.Indexes, tab)
-	sumcPay := encodeSummaries(snap.Summaries, tab)
 
 	sections := map[string][]byte{
 		"meta": encodeMeta(snap.Meta),
@@ -131,8 +125,6 @@ func Write(w io.Writer, snap *Snapshot) error {
 		"strs": tab.encode(),
 		"node": nodePay,
 		"rels": relsPay,
-		"indx": indxPay,
-		"sumc": sumcPay,
 		"fini": nil,
 	}
 
@@ -362,16 +354,6 @@ func encodeRels(rels []*graphdb.Rel, tab *stringTable) ([]byte, error) {
 	return b, nil
 }
 
-func encodeIndexes(ixs []graphdb.IndexSpec, tab *stringTable) []byte {
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(ixs)))
-	for _, ix := range ixs {
-		b = binary.AppendUvarint(b, tab.ref(ix.Label))
-		b = binary.AppendUvarint(b, tab.ref(ix.Prop))
-	}
-	return b
-}
-
 // --- reading -------------------------------------------------------------
 
 // Read decodes a snapshot from r, verifying the format version and every
@@ -423,12 +405,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if ex.Rels, err = decodeRels(payloads["rels"], tab); err != nil {
 		return nil, err
 	}
-	if ex.Indexes, err = decodeIndexes(payloads["indx"], tab); err != nil {
-		return nil, err
-	}
-	if snap.Summaries, err = decodeSummaries(payloads["sumc"], tab); err != nil {
-		return nil, err
-	}
 	db, err := graphdb.Import(ex)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -476,9 +452,23 @@ func readSection(r io.Reader, allowed []string) (tag string, payload []byte, err
 	if size > maxSectionSize {
 		return "", nil, fmt.Errorf("store: section %q declares %d bytes (max %d): file corrupted", tag, size, maxSectionSize)
 	}
-	payload = make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return "", nil, fmt.Errorf("store: read section %q payload: %w (file truncated?)", tag, err)
+	// Grow the payload as bytes actually arrive rather than trusting the
+	// declared size: a corrupt length must not cost a huge allocation.
+	// Capacity doubles but is capped at the declared size, so a complete
+	// payload keeps exactly the bytes it holds.
+	payload = make([]byte, 0, min(size, 1<<20))
+	for len(payload) < int(size) {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(int(size), 2*cap(payload))), payload...)
+		}
+		n, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return "", nil, fmt.Errorf("store: read section %q payload: %w (file truncated?)", tag, err)
+		}
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
@@ -816,24 +806,4 @@ func decodeRels(pay []byte, tab []string) ([]*graphdb.Rel, error) {
 		})
 	}
 	return rels, d.done()
-}
-
-func decodeIndexes(pay []byte, tab []string) ([]graphdb.IndexSpec, error) {
-	d := &decoder{buf: pay, section: "indx"}
-	n, err := d.count("index")
-	if err != nil {
-		return nil, err
-	}
-	ixs := make([]graphdb.IndexSpec, 0, n)
-	for i := 0; i < n; i++ {
-		var ix graphdb.IndexSpec
-		if ix.Label, err = d.ref(tab, "index label"); err != nil {
-			return nil, err
-		}
-		if ix.Prop, err = d.ref(tab, "index property"); err != nil {
-			return nil, err
-		}
-		ixs = append(ixs, ix)
-	}
-	return ixs, d.done()
 }

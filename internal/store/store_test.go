@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -57,8 +58,8 @@ func buildSummaries() []taint.ConeEntry {
 
 // buildSnapshot constructs a small hand-made snapshot exercising every
 // property value type the codec supports (bool, int, float64, string,
-// []int) plus nil prop maps, rel props, and indexes.
-func buildSnapshot(t *testing.T) *Snapshot {
+// []int) plus nil prop maps and rel props.
+func buildSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	db := graphdb.New()
 	a := db.CreateNode([]string{"Class"}, graphdb.Props{
@@ -79,8 +80,6 @@ func buildSnapshot(t *testing.T) *Snapshot {
 	if _, err := db.CreateRel("CALL", b, c, graphdb.Props{"LINE": 42, "KIND": "virtual"}); err != nil {
 		t.Fatal(err)
 	}
-	db.CreateIndex("Method", "NAME")
-	db.CreateIndex("Class", "NAME")
 
 	reg, err := sinks.NewRegistry([]sinks.Sink{
 		{Class: "com.example.A", Method: "run", Type: sinks.TypeExec, TC: []int{0, 1}},
@@ -103,13 +102,10 @@ func buildSnapshot(t *testing.T) *Snapshot {
 		DB:      db,
 		Sinks:   reg,
 		Sources: sinks.SourceConfig{MethodNames: []string{"readObject"}, RequireSerializable: true},
-		// Populated summaries extend the truncate/flip corruption suites
-		// below to a non-trivial "sumc" section.
-		Summaries: buildSummaries(),
 	}
 }
 
-func encodeSnapshot(t *testing.T, snap *Snapshot) []byte {
+func encodeSnapshot(t testing.TB, snap *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, snap); err != nil {
@@ -138,15 +134,12 @@ func TestRoundTripPreservesEverything(t *testing.T) {
 	if !reflect.DeepEqual(got.DB.Export(), snap.DB.Export()) {
 		t.Errorf("graph export differs after round trip")
 	}
-	if !reflect.DeepEqual(got.Summaries, snap.Summaries) {
-		t.Errorf("summaries:\n got %+v\nwant %+v", got.Summaries, snap.Summaries)
-	}
 	if !got.DB.Frozen() {
 		t.Error("loaded store must be frozen")
 	}
 	// A frozen store still serves reads.
 	if ids := got.DB.FindNodes("Method", "NAME", "com.example.A#run()"); len(ids) != 1 {
-		t.Errorf("index lookup on loaded store: %v", ids)
+		t.Errorf("FindNodes on loaded store: %v", ids)
 	}
 }
 
@@ -275,4 +268,43 @@ func TestFrozenStoreRejectsMutation(t *testing.T) {
 		}
 	}()
 	got.DB.CreateNode([]string{"Class"}, nil)
+}
+
+// TestReadDoesNotTrustDeclaredSize: a section frame declaring a huge
+// payload over a short input fails as truncated without allocating the
+// declared size (the regression input is checked in under
+// testdata/fuzz/FuzzSnapshot).
+func TestReadDoesNotTrustDeclaredSize(t *testing.T) {
+	data := []byte("TABBYSNP\x04\x00meta\xff\xff\xff\x3f")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("err = %v, want a truncation error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("Read allocated %d bytes for a %d-byte input", grew, len(data))
+	}
+}
+
+// TestReadSectionKeepsExactPayload: a section larger than the first read
+// chunk comes back with no spare capacity, so a loaded snapshot holds
+// only the bytes its sections carry.
+func TestReadSectionKeepsExactPayload(t *testing.T) {
+	want := bytes.Repeat([]byte("tabby"), 700_000) // 3.5 MB, several chunks
+	var buf bytes.Buffer
+	if err := writeSection(&buf, "node", want); err != nil {
+		t.Fatal(err)
+	}
+	tag, got, err := readSection(&buf, []string{"node"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != "node" || !bytes.Equal(got, want) {
+		t.Fatalf("readSection = %q, %d bytes; want node, %d bytes", tag, len(got), len(want))
+	}
+	if cap(got) != len(got) {
+		t.Errorf("payload cap = %d, want %d", cap(got), len(got))
+	}
 }

@@ -1,8 +1,7 @@
-// Summary-cache persistence: the "sumc" snapshot section and the
-// standalone cache file written by tabby -cache-dir. Both share one
-// payload encoding (interned strings, varints) and the section framing of
-// the snapshot format, so the corruption-detection story — checksums,
-// bounds-checked decoding, clear errors — is identical.
+// Summary-cache persistence: the standalone cache file written by tabby
+// -cache-dir. It reuses the snapshot format's string table, varint
+// encoding and CRC section framing, so the corruption-detection story —
+// checksums, bounds-checked decoding, clear errors — is identical.
 package store
 
 import (
@@ -21,8 +20,7 @@ const SummaryFormatVersion = 1
 
 const summaryMagic = "TABBYSUM"
 
-// The standalone cache file carries its own string table plus the same
-// "sumc" payload a snapshot embeds.
+// The cache file carries its own string table plus the "sumc" payload.
 var summaryOrder = []string{"strs", "sumc", "fini"}
 
 // encodeSummaries renders exported cone entries. Method keys, class

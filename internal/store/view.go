@@ -1,5 +1,6 @@
-// Zero-copy snapshot views. Every snapshot carries a "csr3" section holding the compiled search index as aligned little-endian
-// arrays (searchindex.AppendLayout); Mapped frames the raw file bytes
+// Zero-copy snapshot views. Every snapshot carries a "csr3" section
+// holding the compiled search index as aligned little-endian arrays
+// (searchindex.AppendLayout); Mapped frames the raw file bytes
 // — typically an mmap'd region — without decoding the graph, so a
 // server can start answering /v1/chains and /v1/query from the index
 // view alone and only pay the full parse if an interpreter fallback or
