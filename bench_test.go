@@ -282,9 +282,9 @@ func BenchmarkConfirm(b *testing.B) {
 // search) over the Table VIII synthetic corpus at several worker counts.
 // Speedup over the workers=1 sub-benchmark is the tentpole metric; on a
 // single-CPU host (GOMAXPROCS=1) the counts coincide by design, since the
-// scheduler degrades to the sequential path. cmd/tabby-bench
-// -table parallel runs the same sweep at full scale and verifies output
-// equality across counts.
+// scheduler degrades to the sequential path. Output equality across
+// counts is pinned by TestPipelineDeterministicAcrossWorkerCounts
+// (internal/core) and TestTable8SmallScale (internal/bench).
 func BenchmarkParallelPipeline(b *testing.B) {
 	const scale = 0.05
 	specs := corpus.SyntheticSpecs()

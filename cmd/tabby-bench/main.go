@@ -6,30 +6,12 @@
 //	tabby-bench -table 11         Spring-scene chains (Table XI)
 //	tabby-bench -table rq4        the §IV-E aggregate
 //	tabby-bench -table ablation   §III-C design-choice ablations
-//	tabby-bench -table parallel   worker-scaling over the largest Table VIII
-//	                              row (writes BENCH_parallel.json)
-//	tabby-bench -table build      cold-build stage costs (compile / taint /
-//	                              cpg ns/op + allocs/op) over the full
-//	                              corpus at workers=1, with the speedup
-//	                              vs the recorded pre-fast-path seed
-//	                              (writes BENCH_build.json)
-//	tabby-bench -table incremental cold vs warm vs one-class-changed
-//	                              cache scenarios over the Spring scene
-//	                              (writes BENCH_incremental.json)
-//	tabby-bench -table query      Cypher-lite interpreter vs compiled
-//	                              iterator plans (writes BENCH_query.json)
-//	tabby-bench -table snapshot   storage backends: full heap parse vs
-//	                              zero-copy mmap view — open latency,
-//	                              resident bytes, serving throughput
-//	                              (writes BENCH_snapshot.json)
-//	tabby-bench -table serve      HTTP serve path under load: analyze
-//	                              builds vs repeat uploads, cold vs
-//	                              cached reads, p50/p99/QPS
-//	                              (writes BENCH_serve.json)
 //	tabby-bench -table all        everything
 //
 // The Table VIII run defaults to scale 1.0 (the paper's full class and
 // method counts, which takes minutes); use -scale 0.1 for a quick pass.
+// End-to-end performance numbers come from perfbench/; the timing gates
+// behind `make bench-*` are tests next to the code they measure.
 package main
 
 import (
@@ -39,16 +21,14 @@ import (
 	"runtime"
 
 	"tabby/internal/bench"
-	"tabby/internal/parallel"
 	"tabby/internal/profiling"
 )
 
 func main() {
 	var (
-		table      = flag.String("table", "all", "which table to regenerate: 8, 9, 10, 11, rq4, all")
+		table      = flag.String("table", "all", "which table to regenerate: 8, 9, 10, 11, rq4, ablation, all")
 		scale      = flag.Float64("scale", 1.0, "Table VIII corpus scale factor (1.0 = paper-size)")
 		runs       = flag.Int("runs", 3, "Table VIII repetitions per row (min/max trimmed when >2)")
-		workers    = flag.Int("workers", 0, "pipeline worker count (0 = GOMAXPROCS, 1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -58,7 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tabby-bench:", err)
 		os.Exit(1)
 	}
-	runErr := run(*table, *scale, *runs, *workers)
+	runErr := run(*table, *scale, *runs)
 	stopProfiles() // before any exit: os.Exit skips defers
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "tabby-bench:", runErr)
@@ -66,14 +46,13 @@ func main() {
 	}
 }
 
-func run(table string, scale float64, runs, workers int) error {
+func run(table string, scale float64, runs int) error {
 	switch table {
-	case "8", "9", "10", "11", "rq4", "ablation", "parallel", "build", "incremental", "query", "snapshot", "serve", "all":
+	case "8", "9", "10", "11", "rq4", "ablation", "all":
 	default:
-		return fmt.Errorf("unknown table %q (want 8, 9, 10, 11, rq4, ablation, parallel, build, incremental, query, snapshot, serve or all)", table)
+		return fmt.Errorf("unknown table %q (want 8, 9, 10, 11, rq4, ablation or all)", table)
 	}
-	fmt.Printf("tabby-bench: workers=%d (resolved %d), GOMAXPROCS=%d\n",
-		workers, parallel.Resolve(workers), runtime.GOMAXPROCS(0))
+	fmt.Printf("tabby-bench: GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
 	want := func(t string) bool { return table == t || table == "all" }
 	if want("8") {
 		fmt.Println("=== Table VIII: CPG generation efficiency ===")
@@ -122,108 +101,6 @@ func run(table string, scale float64, runs, workers int) error {
 			return err
 		}
 		fmt.Println(bench.FormatAblation(results))
-	}
-	if want("parallel") {
-		fmt.Println("=== Parallel pipeline: worker scaling ===")
-		r, err := bench.RunParallel(scale, runs, []int{1, 2, 4, 8})
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_parallel.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_parallel.json")
-	}
-	if want("build") {
-		fmt.Println("=== Cold build: per-stage cost over the full corpus ===")
-		r, err := bench.RunBuild(runs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_build.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_build.json")
-	}
-	if want("incremental") {
-		fmt.Println("=== Incremental analysis: cold vs warm vs one-class-changed ===")
-		r, err := bench.RunIncremental(runs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_incremental.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_incremental.json")
-	}
-	if want("query") {
-		fmt.Println("=== Cypher-lite: interpreter vs compiled plan ===")
-		r, err := bench.RunQuery(runs * 20) // query ops are cheap; more iterations steady the clock
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_query.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_query.json")
-	}
-	if want("snapshot") {
-		fmt.Println("=== Snapshot backends: heap parse vs zero-copy mmap ===")
-		r, err := bench.RunSnapshot(runs * 3)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_snapshot.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_snapshot.json")
-	}
-	if want("serve") {
-		fmt.Println("=== Serve path: async analyze, result + response caches under load ===")
-		r, err := bench.RunServe(runs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		f, err := os.Create("BENCH_serve.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("written to BENCH_serve.json")
 	}
 	return nil
 }

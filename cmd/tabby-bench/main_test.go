@@ -1,13 +1,12 @@
 package main
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 func TestRunValidation(t *testing.T) {
-	if err := run("nonsense", 1, 1, 1); err == nil {
-		t.Fatal("unknown table must error")
+	for _, table := range []string{"nonsense", "parallel", "build", "incremental", "query", "snapshot", "serve"} {
+		if err := run(table, 1, 1); err == nil {
+			t.Errorf("table %q must error", table)
+		}
 	}
 }
 
@@ -16,35 +15,12 @@ func TestRunQuickTables(t *testing.T) {
 		t.Skip("runs real experiments")
 	}
 	// Table 8 at tiny scale, then the cheap tables.
-	if err := run("8", 0.01, 1, 1); err != nil {
+	if err := run("8", 0.01, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, table := range []string{"10", "11"} {
-		if err := run(table, 1, 1, 1); err != nil {
+		if err := run(table, 1, 1); err != nil {
 			t.Fatalf("table %s: %v", table, err)
 		}
-	}
-}
-
-func TestRunParallelTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real experiments")
-	}
-	// run writes BENCH_parallel.json into the working directory; keep
-	// test artifacts out of the source tree.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := run("parallel", 0.01, 1, 0); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"tabby/internal/core"
 	"tabby/internal/corpus"
 )
 
@@ -138,6 +140,46 @@ func TestTable8SmallScale(t *testing.T) {
 	}
 	if !strings.Contains(table.Format(), "150MB") {
 		t.Error("Format must include every row")
+	}
+}
+
+// TestRunParallelFindsPlantedChains pins the silent-zero fix: the
+// synthetic corpus plants one gadget chain per class group, so the
+// pipeline must find at least that many on the largest Table VIII row
+// — at any worker count, with identical output — or taint→pathfinder
+// is not being exercised, only compile.
+func TestRunParallelFindsPlantedChains(t *testing.T) {
+	const scale = 0.002
+	specs := corpus.SyntheticSpecs()
+	spec := specs[len(specs)-1]
+	planted := corpus.SyntheticPlantedChains(spec, scale)
+	if planted == 0 {
+		t.Fatal("generator must always plant at least one chain")
+	}
+	prog, err := corpus.GenerateSynthetic(spec, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys [2][]string
+	for i, workers := range []int{1, 2} {
+		engine := core.New(core.Options{Workers: workers})
+		g, _, err := engine.BuildCPG(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains, _, _, err := engine.FindChains(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chains) < planted {
+			t.Errorf("workers=%d found %d chains, corpus plants %d", workers, len(chains), planted)
+		}
+		for _, c := range chains {
+			keys[i] = append(keys[i], c.Key())
+		}
+	}
+	if !slices.Equal(keys[0], keys[1]) {
+		t.Error("chains differ between workers 1 and 2")
 	}
 }
 

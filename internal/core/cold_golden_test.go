@@ -13,18 +13,18 @@ import (
 
 const coldGoldenPath = "testdata/cold_golden.txt"
 
-// coldGoldenSignature renders the full-corpus cold pipeline output in a
-// stable line-based form: per scenario, the graph statistics, the call
-// counters, and every chain key. The golden file pins this against the
-// seed (pre-fast-path) pipeline, so hot-loop rewrites cannot drift the
-// analysis output even in ways the worker-count determinism sweep would
-// not catch (that sweep only compares the new code against itself).
-func coldGoldenSignature(t *testing.T) string {
+// scenario is one corpus entry analyzed on its own, with the modeled
+// runtime prepended.
+type scenario struct {
+	name     string
+	archives []javasrc.ArchiveSource
+}
+
+// fullCorpus is every Table IX component plus the Spring scene: the
+// corpus the cold-output golden, the incremental sweep and the
+// cold-build gate run over.
+func fullCorpus(t testing.TB) []scenario {
 	t.Helper()
-	type scenario struct {
-		name     string
-		archives []javasrc.ArchiveSource
-	}
 	var scenarios []scenario
 	for _, comp := range corpus.Components() {
 		scenarios = append(scenarios, scenario{
@@ -36,13 +36,22 @@ func coldGoldenSignature(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenarios = append(scenarios, scenario{
+	return append(scenarios, scenario{
 		name:     "scene/" + spring.Name,
 		archives: append([]javasrc.ArchiveSource{corpus.RT()}, spring.Archives...),
 	})
+}
 
+// coldGoldenSignature renders the full-corpus cold pipeline output in a
+// stable line-based form: per scenario, the graph statistics, the call
+// counters, and every chain key. The golden file pins this against the
+// seed (pre-fast-path) pipeline, so hot-loop rewrites cannot drift the
+// analysis output even in ways the worker-count determinism sweep would
+// not catch (that sweep only compares the new code against itself).
+func coldGoldenSignature(t *testing.T) string {
+	t.Helper()
 	var sb strings.Builder
-	for _, sc := range scenarios {
+	for _, sc := range fullCorpus(t) {
 		engine := New(Options{Workers: 1})
 		rep, err := engine.AnalyzeSources(sc.archives)
 		if err != nil {

@@ -75,25 +75,7 @@ func TestPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus determinism sweep")
 	}
-	type scenario struct {
-		name     string
-		archives []javasrc.ArchiveSource
-	}
-	var scenarios []scenario
-	for _, comp := range corpus.Components() {
-		scenarios = append(scenarios, scenario{
-			name:     "component/" + comp.Name,
-			archives: append([]javasrc.ArchiveSource{corpus.RT()}, comp.Archives...),
-		})
-	}
-	spring, err := corpus.SceneByName("Spring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios = append(scenarios, scenario{
-		name:     "scene/" + spring.Name,
-		archives: append([]javasrc.ArchiveSource{corpus.RT()}, spring.Archives...),
-	})
+	scenarios := fullCorpus(t)
 
 	// Both gate modes of the serialization-dispatch pass are under the
 	// same contract: worker count may never change output.

@@ -87,27 +87,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus incremental sweep")
 	}
-	type scenario struct {
-		name     string
-		archives []javasrc.ArchiveSource
-	}
-	var scenarios []scenario
-	for _, comp := range corpus.Components() {
-		scenarios = append(scenarios, scenario{
-			name:     "component/" + comp.Name,
-			archives: append([]javasrc.ArchiveSource{corpus.RT()}, comp.Archives...),
-		})
-	}
-	spring, err := corpus.SceneByName("Spring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios = append(scenarios, scenario{
-		name:     "scene/" + spring.Name,
-		archives: append([]javasrc.ArchiveSource{corpus.RT()}, spring.Archives...),
-	})
-
-	for _, sc := range scenarios {
+	for _, sc := range fullCorpus(t) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {

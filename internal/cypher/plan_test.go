@@ -239,6 +239,13 @@ func TestPlanPropagationPrunesAnchor(t *testing.T) {
 	if !found {
 		t.Error("EXPLAIN does not mention propagation")
 	}
+
+	// A deep layered graph, where a sloppy propagation or anchor choice
+	// would change rows rather than only cost: the query gate's battery.
+	layered := layeredGraph(t, 16, 50)
+	for _, gq := range layeredQueries {
+		assertEngineParity(t, layered, gq.text)
+	}
 }
 
 func TestPlanFallbackVariableLength(t *testing.T) {

@@ -2,7 +2,7 @@
 // profile spanning the whole run and a heap profile written at exit.
 // Both cmd/tabby and cmd/tabby-bench expose it as -cpuprofile/-memprofile
 // flags, so a search regression can be profiled exactly where it is
-// reported (e.g. `tabby-bench -table pathfinder -cpuprofile cpu.out`).
+// reported (e.g. `tabby -component C3P0 -cpuprofile cpu.out`).
 package profiling
 
 import (

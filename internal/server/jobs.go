@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"time"
@@ -57,6 +58,22 @@ type result struct {
 	graphID string
 	chains  int
 	stats   cpg.Stats
+	// body is the digest of the last analyze body remembered for this
+	// result (its key in jobManager.bodies; zero when none), so the two
+	// are dropped together.
+	body bodyDigest
+}
+
+// bodyDigest is the SHA-256 of a raw /v1/analyze request body.
+type bodyDigest = [sha256.Size]byte
+
+// bodyMemo is what a byte-identical repeat of an analyze body needs to
+// resolve without decoding it: the result fingerprint its corpus hashed
+// to, and the two request fields that shape the response.
+type bodyMemo struct {
+	fp   string
+	name string
+	wait bool
 }
 
 // jobManager runs /v1/analyze builds on one worker behind a bounded
@@ -72,8 +89,9 @@ type jobManager struct {
 	inflight map[string]*job // fp → queued/running job (singleflight)
 	active   map[string]*job // graph name → queued/running job
 	results  map[string]*result
-	graphFP  map[string]string // graph id → fp, for eviction invalidation
-	finished []string          // terminal job ids, oldest first (pruning)
+	bodies   map[bodyDigest]bodyMemo // at most one per result
+	graphFP  map[string]string       // graph id → fp, for eviction invalidation
+	finished []string                // terminal job ids, oldest first (pruning)
 	queue    chan *job
 	queueCap int
 	seq      int
@@ -111,6 +129,7 @@ func newJobManager(queueCap int) *jobManager {
 		inflight: make(map[string]*job),
 		active:   make(map[string]*job),
 		results:  make(map[string]*result),
+		bodies:   make(map[bodyDigest]bodyMemo),
 		graphFP:  make(map[string]string),
 		queue:    make(chan *job, queueCap),
 		queueCap: queueCap,
@@ -138,18 +157,7 @@ func (m *jobManager) submit(reg *Registry, name, fp string, eng *core.Engine, ar
 	}
 	m.submitted++
 
-	// Repeat upload: the identical corpus+options was already built and
-	// its graph is still registered — resolve instantly, no queue slot.
-	if res, ok := m.results[fp]; ok && reg.Has(res.graphID) {
-		m.resultHits++
-		j := m.newJobLocked(name, fp)
-		j.status = jobDone
-		j.graphID = res.graphID
-		j.chains = res.chains
-		j.stats = res.stats
-		j.cached = true
-		close(j.done)
-		m.recordTerminalLocked(j)
+	if j := m.cachedJobLocked(reg, name, fp); j != nil {
 		return j, nil
 	}
 
@@ -185,6 +193,60 @@ func (m *jobManager) submit(reg *Registry, name, fp string, eng *core.Engine, ar
 	m.inflight[fp] = j
 	m.active[name] = j
 	return j, nil
+}
+
+// cachedJobLocked resolves a repeat upload: when the identical
+// corpus+options was already built and its graph is still registered,
+// it returns a done job for it — no build, no queue slot. It returns nil
+// on a miss.
+func (m *jobManager) cachedJobLocked(reg *Registry, name, fp string) *job {
+	res, ok := m.results[fp]
+	if !ok || !reg.Has(res.graphID) {
+		return nil
+	}
+	m.resultHits++
+	j := m.newJobLocked(name, fp)
+	j.status = jobDone
+	j.graphID = res.graphID
+	j.chains = res.chains
+	j.stats = res.stats
+	j.cached = true
+	close(j.done)
+	m.recordTerminalLocked(j)
+	return j
+}
+
+// resolveBody resolves a byte-identical repeat of a remembered analyze
+// body from the result cache, reporting the request's wait flag. It
+// reports false when the body is unknown or its result is gone; the
+// caller then decodes the body and submits it.
+func (m *jobManager) resolveBody(reg *Registry, d bodyDigest) (j *job, wait, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	memo, ok := m.bodies[d]
+	if !ok || m.closed {
+		return nil, false, false
+	}
+	if j = m.cachedJobLocked(reg, memo.name, memo.fp); j == nil {
+		return nil, false, false
+	}
+	m.submitted++
+	return j, memo.wait, true
+}
+
+// rememberBody links a body digest to memo.fp's cached result, replacing
+// the digest remembered for it before. Without a cached result (the
+// build is still queued or failed) it remembers nothing.
+func (m *jobManager) rememberBody(d bodyDigest, memo bodyMemo) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	res, ok := m.results[memo.fp]
+	if !ok {
+		return
+	}
+	delete(m.bodies, res.body)
+	res.body = d
+	m.bodies[d] = memo
 }
 
 // newJobLocked allocates and indexes a job record.
@@ -227,15 +289,21 @@ func (m *jobManager) get(id string) (*job, bool) {
 }
 
 // invalidateGraph drops the cached result whose graph was evicted or
-// replaced. Called from the registry's eviction hook (registry lock
-// held); it takes only the manager's own lock.
+// replaced, with the body digest remembered for it. Called from the
+// registry's eviction hook (registry lock held); it takes only the
+// manager's own lock.
 func (m *jobManager) invalidateGraph(graphID string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if fp, ok := m.graphFP[graphID]; ok {
-		delete(m.results, fp)
-		delete(m.graphFP, graphID)
+	fp, ok := m.graphFP[graphID]
+	if !ok {
+		return
 	}
+	if res := m.results[fp]; res != nil {
+		delete(m.bodies, res.body)
+	}
+	delete(m.results, fp)
+	delete(m.graphFP, graphID)
 }
 
 // close stops accepting submissions and lets the worker drain.

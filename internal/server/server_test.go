@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,7 +60,12 @@ func tryPostJSON(url string, body any) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	return tryPostRaw(url, data)
+}
+
+// tryPostRaw POSTs body as it is and returns the status and response.
+func tryPostRaw(url string, body []byte) (int, []byte, error) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -356,6 +363,93 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"name": "empty"}); code != http.StatusBadRequest {
 		t.Errorf("missing files = %d, want 400", code)
 	}
+}
+
+// TestAnalyzeBodyMemo pins the repeat-upload memo: a byte-identical
+// repeat of a built body resolves from its raw-bytes digest without a
+// build, a body that differs only in field order still resolves from
+// the fingerprint-keyed result cache, and evicting the graph forgets
+// the digest, so the same bytes build again.
+func TestAnalyzeBodyMemo(t *testing.T) {
+	s := New(Options{Workers: 1, MaxGraphs: 1})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	post := func(raw []byte) jobJSON {
+		t.Helper()
+		body, err := postOK(ts.URL+"/v1/analyze", raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var j jobJSON
+		if err := json.Unmarshal(body, &j); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	req := analyzeReq("memo", true)
+	raw := mustMarshal(t, req)
+	if first := post(raw); first.Status != "done" || first.ResultCached {
+		t.Fatalf("first upload = %+v, want a build", first)
+	}
+	builds := s.Builds()
+
+	// Byte-identical repeat: resolved by digest, nothing built.
+	repeat := post(raw)
+	s.jobs.mu.Lock()
+	_, memoized := s.jobs.bodies[sha256.Sum256(raw)]
+	s.jobs.mu.Unlock()
+	if !memoized {
+		t.Fatal("a built body's digest is not remembered")
+	}
+	if !repeat.ResultCached || s.Builds() != builds {
+		t.Fatalf("byte-identical repeat = %+v after %d builds (was %d)", repeat, s.Builds(), builds)
+	}
+
+	// Re-ordered fields: other bytes, same corpus — the decode path
+	// resolves it by fingerprint to the same job JSON.
+	reordered := mustMarshal(t, struct {
+		Wait  bool   `json:"wait"`
+		Files any    `json:"files"`
+		Name  string `json:"name"`
+	}{true, req["files"], "memo"})
+	if bytes.Equal(reordered, raw) {
+		t.Fatal("re-ordered body is byte-identical")
+	}
+	viaFP := post(reordered)
+	if s.Builds() != builds {
+		t.Errorf("re-ordered body built again")
+	}
+	repeat.ID, viaFP.ID = "", ""
+	if !reflect.DeepEqual(repeat, viaFP) {
+		t.Errorf("digest-resolved job %+v != fingerprint-resolved job %+v", repeat, viaFP)
+	}
+
+	// Evict "memo" by building another graph (MaxGraphs 1): the memo
+	// entries go with its result, so the same bytes build again.
+	if other := post(mustMarshal(t, analyzeReq("other", true))); other.ResultCached {
+		t.Fatalf("other upload = %+v, want a build", other)
+	}
+	s.jobs.mu.Lock()
+	left := len(s.jobs.bodies)
+	s.jobs.mu.Unlock()
+	if left != 1 {
+		t.Errorf("%d body digests remembered after eviction, want only the new graph's", left)
+	}
+	builds = s.Builds()
+	if again := post(raw); again.ResultCached || s.Builds() != builds+1 {
+		t.Errorf("repeat after eviction = %+v with %d builds (was %d), want a fresh build", again, s.Builds(), builds)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestConcurrentRequestsAreIdentical hammers /v1/query and /v1/chains
